@@ -67,13 +67,15 @@ profile:
 	dune exec bin/obrew_cli.exe -- stencil --profile \
 	  --profile-out profile.json --remarks remarks.json
 
-# Differential translation-validation campaign: 500 randomized cases
-# through every semantic tier (single-step CPU, superblock engine,
-# lifted IR, optimized IR, JIT code); divergences are shrunk and
-# persisted under _bench/oracle/*.repro.
+# Differential translation-validation campaigns: 500 randomized cases
+# per profile (uniform, fusion, indirect) through every semantic tier
+# (single-step CPU, superblock engine, lifted IR, optimized IR, JIT
+# code); divergences are shrunk and persisted under _bench/oracle/*.repro.
 fuzz:
 	dune exec bin/obrew_cli.exe -- fuzz --seeds 500 --tiers all \
 	  --out _bench/oracle --stats
+	dune exec bin/obrew_cli.exe -- fuzz --seeds 500 --tiers all \
+	  --profile fusion --out _bench/oracle --stats
 	dune exec bin/obrew_cli.exe -- fuzz --seeds 500 --tiers all \
 	  --profile indirect --out _bench/oracle --stats
 

@@ -119,7 +119,8 @@ let sb_stats_fields (s : Cpu.cache_stats) =
       (List.map (fun (pat, n) -> jint pat n) s.Cpu.fused_pairs);
     jint "flag_records" s.Cpu.flag_records;
     jint "flag_materialized" s.Cpu.flag_materialized;
-    jint "flag_dead_writes" s.Cpu.flag_dead_writes ]
+    jint "flag_dead_writes" s.Cpu.flag_dead_writes;
+    jint "tlb_misses" s.Cpu.tlb_misses ]
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 5: per-instruction lifting                                     *)

@@ -52,8 +52,8 @@ let stats_json_arg =
   Arg.(value & opt (some string) None
        & info [ "stats-json" ] ~docv:"FILE"
          ~doc:"Write the execution-engine counters (superblocks, traces, \
-               mega-op fusion, lazy flags) as JSON to FILE; '-' for \
-               stdout.")
+               predicate pairs, lazy flags, TLB misses) as JSON to FILE; \
+               '-' for stdout.")
 
 let fallback_arg =
   Arg.(value & flag & info [ "fallback" ]
@@ -241,6 +241,7 @@ let print_stats (env : Modes.env) =
        (List.map
           (fun (pat, n) -> Printf.sprintf "%s %d" pat n)
           s.Cpu.fused_pairs));
+  Printf.printf "memory TLB: %d misses\n" s.Cpu.tlb_misses;
   Printf.printf
     "lazy flags: %d records, %d materialized (%d avoided), %d dead writes \
      elided\n"
@@ -282,7 +283,8 @@ let engine_stats_json (env : Modes.env) =
                 s.Cpu.fused_pairs));
         jint "flag_records" s.Cpu.flag_records;
         jint "flag_materialized" s.Cpu.flag_materialized;
-        jint "flag_dead_writes" s.Cpu.flag_dead_writes ]
+        jint "flag_dead_writes" s.Cpu.flag_dead_writes;
+        jint "tlb_misses" s.Cpu.tlb_misses ]
   in
   "{\n" ^ body ^ "\n}\n"
 
@@ -812,11 +814,11 @@ let fuzz_cmd =
   let profile_arg =
     Arg.(value & opt string "uniform" & info [ "profile" ] ~docv:"P"
            ~doc:"Case-shape bias: 'uniform' draws from the whole ISA \
-                 subset, 'fusion' skews toward fusible adjacent pairs \
+                 subset, 'fusion' skews toward adjacent dependent pairs \
                  and tight backedge loops to stress the superblock \
-                 engine's traces and mega-op fusion, 'indirect' skews \
-                 toward jump tables, computed gotos and call/ret \
-                 chains to stress indirect control flow.")
+                 engine's traces, cmp/test+jcc pairs and lazy flags, \
+                 'indirect' skews toward jump tables, computed gotos \
+                 and call/ret chains to stress indirect control flow.")
   in
   let out_arg =
     Arg.(value & opt (some string) (Some "_bench/oracle")

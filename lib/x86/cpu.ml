@@ -38,10 +38,6 @@ let c_sb_flush = Tel.counter "sb.flushes"
 let c_sb_trace = Tel.counter "sb.traces_built"
 let c_sb_sidexit = Tel.counter "sb.trace_side_exits"
 let c_fuse_cmpjcc = Tel.counter "sb.fuse.cmp_jcc"
-let c_fuse_mov_alu = Tel.counter "sb.fuse.mov_alu"
-let c_fuse_lea_mem = Tel.counter "sb.fuse.lea_mem"
-let c_fuse_spill = Tel.counter "sb.fuse.spill"
-let c_fuse_other = Tel.counter "sb.fuse.other"
 let c_fl_rec = Tel.counter "sb.flag_records"
 let c_fl_mat = Tel.counter "sb.flag_materializations"
 let c_fl_dead = Tel.counter "sb.flag_dead_writes"
@@ -73,11 +69,11 @@ type sb_kind = KStraight | KLoopHead | KTrace
     ([sb_ranges]); hot self-loop blocks are promoted to traces that
     unroll the loop body across the backedge with side-exits.
 
-    Execution runs over the *fused* slot arrays ([sb_slots] etc.),
-    where adjacent instruction pairs may have been combined into one
-    closure; the per-instruction arrays ([sb_ops]/[sb_rips]/...) are
-    kept for the profiled twin, which needs exact per-address
-    attribution. *)
+    Execution runs over the slot arrays ([sb_slots] etc.): one
+    closure per instruction, except that a cmp/test immediately
+    followed by a direct jcc shares one predicated slot; the
+    per-instruction arrays ([sb_ops]/[sb_rips]/...) are kept for the
+    profiled twin, which needs exact per-address attribution. *)
 type sblock = {
   sb_entry : int;
   sb_insns : insn array;
@@ -86,7 +82,7 @@ type sblock = {
   sb_addrs : int array;           (* guest address of each instruction *)
   sb_costs : int array;           (* static Cost.insn_cost per insn *)
   sb_static : int;                (* sum of sb_costs *)
-  sb_slots : op_fn array;         (* fused execution slots *)
+  sb_slots : op_fn array;         (* execution slots *)
   sb_slot_rips : int array;       (* rip after a slot's first insn *)
   sb_slot_costs : int array;      (* static cost of the whole slot *)
   sb_slot_insns : int array;      (* instructions per slot (1 or 2) *)
@@ -122,7 +118,7 @@ and flag_src = FlEager | FlAdd | FlSub | FlLogic | FlImul
 
 and t = {
   mem : Mem.t;
-  regs : i64buf;               (* 16 GPRs *)
+  regs : i64buf;               (* 16 GPRs + the zero slot [zr] *)
   xlo : i64buf;                (* xmm low halves *)
   xhi : i64buf;                (* xmm high halves *)
   mutable rip : int;
@@ -151,11 +147,7 @@ and t = {
   mutable sb_ic_misses : int;  (* indirect transitions that missed the IC *)
   mutable sb_traces : int;     (* blocks promoted to traces *)
   mutable sb_side_exits : int; (* early exits taken out of a trace *)
-  mutable fu_cmpjcc : int;     (* fused pairs created, by pattern *)
-  mutable fu_mov_alu : int;
-  mutable fu_lea_mem : int;
-  mutable fu_spill : int;
-  mutable fu_other : int;
+  mutable fu_cmpjcc : int;     (* cmp/test+jcc pairs created *)
   mutable fl_op : flag_src;    (* pending lazy flag record *)
   mutable fl_w : width;
   flbuf : i64buf;              (* record operands: a, b, result *)
@@ -177,8 +169,13 @@ let dummy_block =
 
 let bcache_slots = 64
 
+(* Register slot 16 always holds 0 and is never written: a missing base
+   or index register, and the register part of an immediate operand,
+   point at it (see [opnd]). *)
+let zr = 16
+
 let create ?(cost = Cost.default) () =
-  { mem = Mem.create (); regs = i64buf 16;
+  { mem = Mem.create (); regs = i64buf (zr + 1);
     xlo = i64buf 16; xhi = i64buf 16; rip = 0;
     zf = false; sf = false; cf = false; o_f = false; pf = false; af = false;
     fs_base = 0; gs_base = 0; cycles = 0; icount = 0;
@@ -187,8 +184,7 @@ let create ?(cost = Cost.default) () =
     sb_hits = 0; sb_misses = 0; sb_flushes = 0; sb_chained = 0;
     sb_ic_hits = 0; sb_ic_misses = 0;
     sb_traces = 0; sb_side_exits = 0;
-    fu_cmpjcc = 0; fu_mov_alu = 0; fu_lea_mem = 0; fu_spill = 0;
-    fu_other = 0;
+    fu_cmpjcc = 0;
     fl_op = FlEager; fl_w = W64; flbuf = i64buf 3;
     fl_records = 0; fl_mats = 0; fl_dead = 0;
     pen = 0; cost }
@@ -197,24 +193,25 @@ let create ?(cost = Cost.default) () =
 
 let addr_mask = (1 lsl 48) - 1
 
-let trunc w (v : int64) =
+(* The scalar helpers are [@inline]: translated closures call them with
+   unboxed [int64]s, and an out-of-line call would box every argument. *)
+let[@inline] wmask w =
   match w with
-  | W8 -> Int64.logand v 0xFFL
-  | W16 -> Int64.logand v 0xFFFFL
-  | W32 -> Int64.logand v 0xFFFFFFFFL
-  | W64 -> v
+  | W8 -> 0xFFL
+  | W16 -> 0xFFFFL
+  | W32 -> 0xFFFFFFFFL
+  | W64 -> -1L
 
-let sext w (v : int64) =
-  match w with
-  | W8 -> Int64.shift_right (Int64.shift_left v 56) 56
-  | W16 -> Int64.shift_right (Int64.shift_left v 48) 48
-  | W32 -> Int64.shift_right (Int64.shift_left v 32) 32
-  | W64 -> v
+(* shift that moves bit [width - 1] to bit 63: sign extension is
+   [(v lsl sh) asr sh] and the sign test is [v lsl sh < 0] *)
+let[@inline] wshift w = 64 - width_bits w
 
-let msb w v =
-  Int64.logand (Int64.shift_right_logical v (width_bits w - 1)) 1L = 1L
+let[@inline] sx sh v = Int64.shift_right (Int64.shift_left v sh) sh
+let[@inline] trunc w (v : int64) = Int64.logand v (wmask w)
+let[@inline] sext w (v : int64) = sx (wshift w) v
+let[@inline] msb w v = Int64.shift_left v (wshift w) < 0L
 
-let parity_even (v : int64) =
+let[@inline] parity_even (v : int64) =
   let x = Int64.to_int (Int64.logand v 0xFFL) in
   let x = x lxor (x lsr 4) in
   let x = x lxor (x lsr 2) in
@@ -229,21 +226,23 @@ let get_reg64 cpu r = cpu.regs.{Reg.index r}
 let get_reg8h cpu r =
   Int64.logand (Int64.shift_right_logical cpu.regs.{Reg.index r} 8) 0xFFL
 
-let set_reg cpu w r v =
-  let i = Reg.index r in
+(* width-[w] write to GPR slot [i]: W32 zero-extends, W16/W8 merge *)
+let[@inline] wr_gpr cpu w i v =
   match w with
-  | W64 -> cpu.regs.{i} <- v
-  | W32 -> cpu.regs.{i} <- trunc W32 v
+  | W64 -> A1.unsafe_set cpu.regs i v
+  | W32 -> A1.unsafe_set cpu.regs i (trunc W32 v)
   | W16 ->
-    cpu.regs.{i} <-
-      Int64.logor
-        (Int64.logand cpu.regs.{i} 0xFFFFFFFFFFFF0000L)
-        (trunc W16 v)
+    A1.unsafe_set cpu.regs i
+      (Int64.logor
+         (Int64.logand (A1.unsafe_get cpu.regs i) 0xFFFFFFFFFFFF0000L)
+         (trunc W16 v))
   | W8 ->
-    cpu.regs.{i} <-
-      Int64.logor
-        (Int64.logand cpu.regs.{i} 0xFFFFFFFFFFFFFF00L)
-        (trunc W8 v)
+    A1.unsafe_set cpu.regs i
+      (Int64.logor
+         (Int64.logand (A1.unsafe_get cpu.regs i) 0xFFFFFFFFFFFFFF00L)
+         (trunc W8 v))
+
+let set_reg cpu w r v = wr_gpr cpu w (Reg.index r) v
 
 let set_reg8h cpu r v =
   let i = Reg.index r in
@@ -312,18 +311,18 @@ let write_op cpu w op v =
 
 (* -------- flags -------- *)
 
-let set_szp cpu w r =
+let[@inline] set_szp cpu w r =
   cpu.zf <- trunc w r = 0L;
   cpu.sf <- msb w r;
   cpu.pf <- parity_even r
 
-let flags_logic cpu w r =
+let[@inline] flags_logic cpu w r =
   set_szp cpu w r;
   cpu.cf <- false;
   cpu.o_f <- false;
   cpu.af <- false
 
-let flags_add ?(cin = 0L) cpu w a b r =
+let[@inline] flags_add cpu w cin a b r =
   set_szp cpu w r;
   (if w = W64 then
      cpu.cf <- Int64.unsigned_compare r a < 0 || (cin = 1L && r = a)
@@ -331,7 +330,7 @@ let flags_add ?(cin = 0L) cpu w a b r =
   cpu.o_f <- msb w (Int64.logand (Int64.logxor a r) (Int64.logxor b r));
   cpu.af <- Int64.logand (Int64.logxor (Int64.logxor a b) r) 0x10L <> 0L
 
-let flags_sub ?(cin = 0L) cpu w a b r =
+let[@inline] flags_sub cpu w cin a b r =
   set_szp cpu w r;
   (let a = trunc w a and b = trunc w b in
    if cin = 1L && b = trunc w (-1L) then cpu.cf <- true
@@ -353,12 +352,12 @@ let materialize cpu =
     cpu.fl_op <- FlEager;
     cpu.fl_mats <- cpu.fl_mats + 1;
     Tel.incr_c c_fl_mat;
-    flags_add cpu cpu.fl_w (Bigarray.Array1.unsafe_get cpu.flbuf 0) (Bigarray.Array1.unsafe_get cpu.flbuf 1) (Bigarray.Array1.unsafe_get cpu.flbuf 2)
+    flags_add cpu cpu.fl_w 0L (Bigarray.Array1.unsafe_get cpu.flbuf 0) (Bigarray.Array1.unsafe_get cpu.flbuf 1) (Bigarray.Array1.unsafe_get cpu.flbuf 2)
   | FlSub ->
     cpu.fl_op <- FlEager;
     cpu.fl_mats <- cpu.fl_mats + 1;
     Tel.incr_c c_fl_mat;
-    flags_sub cpu cpu.fl_w (Bigarray.Array1.unsafe_get cpu.flbuf 0) (Bigarray.Array1.unsafe_get cpu.flbuf 1) (Bigarray.Array1.unsafe_get cpu.flbuf 2)
+    flags_sub cpu cpu.fl_w 0L (Bigarray.Array1.unsafe_get cpu.flbuf 0) (Bigarray.Array1.unsafe_get cpu.flbuf 1) (Bigarray.Array1.unsafe_get cpu.flbuf 2)
   | FlLogic ->
     cpu.fl_op <- FlEager;
     cpu.fl_mats <- cpu.fl_mats + 1;
@@ -420,35 +419,83 @@ let cond cpu c =
   | LE -> cpu.zf || cpu.sf <> cpu.o_f
   | G -> (not cpu.zf) && cpu.sf = cpu.o_f
 
-(* -------- stack -------- *)
+(* -------- inline memory access -------- *)
 
-(* Hot closures below open-code the aligned-page fast path of
-   Mem.read_u64/write_u64: the page lookup stays a (pointer-returning)
-   call but Bytes.get/set_int64_le are primitives that compile unboxed
-   at the use site, where calling Mem.read_u64 would box its int64
-   return on every load.  The literals 12/0xFFF/0xFF8 are tied to the
-   page layout by this check. *)
-let () = assert (Mem.page_bits = 12 && Mem.page_size = 4096)
+(* Translated closures open-code the aligned-page fast path of {!Mem}:
+   the TLB probe is two loads, and [Bytes.get/set_int64_le] are
+   primitives that compile unboxed at the use site, where calling
+   [Mem.read_u64] would box its [int64] result on every load.  The
+   page-straddling slow paths are assembled from int-valued [Mem] calls,
+   so no branch hands back a boxed [int64] either.  The literals
+   12/0xFFF/0xFF/0xFF8 are tied to the page and TLB layout by this
+   check. *)
+let () =
+  assert (Mem.page_bits = 12 && Mem.page_size = 4096 && Mem.tlb_slots = 256)
+
+let[@inline] page cpu a =
+  let m = cpu.mem in
+  let idx = a lsr 12 in
+  let slot = idx land 0xFF in
+  if Array.unsafe_get m.Mem.tlb_idx slot = idx then
+    Array.unsafe_get m.Mem.tlb_page slot
+  else Mem.page m idx
+
+let[@inline] load64 cpu a =
+  let off = a land 0xFFF in
+  if off <= 0xFF8 then Bytes.get_int64_le (page cpu a) off
+  else
+    Int64.logor
+      (Int64.of_int (Mem.read_u32 cpu.mem a))
+      (Int64.shift_left (Int64.of_int (Mem.read_u32 cpu.mem (a + 4))) 32)
+
+let[@inline] store64 cpu a v =
+  let off = a land 0xFFF in
+  if off <= 0xFF8 then Bytes.set_int64_le (page cpu a) off v
+  else begin
+    Mem.write_u32 cpu.mem a (Int64.to_int v land 0xFFFFFFFF);
+    Mem.write_u32 cpu.mem (a + 4)
+      (Int64.to_int (Int64.shift_right_logical v 32))
+  end
+
+(* zero-extended 32-bit load, as a native int *)
+let[@inline] load32 cpu a =
+  let off = a land 0xFFF in
+  if off <= 0xFFC then
+    Int32.to_int (Bytes.get_int32_le (page cpu a) off) land 0xFFFFFFFF
+  else Mem.read_u32 cpu.mem a
+
+let[@inline] store32 cpu a v =
+  let off = a land 0xFFF in
+  if off <= 0xFFC then Bytes.set_int32_le (page cpu a) off (Int32.of_int v)
+  else Mem.write_u32 cpu.mem a (v land 0xFFFFFFFF)
+
+let[@inline] load_w cpu w a =
+  match w with
+  | W64 -> load64 cpu a
+  | W32 -> Int64.of_int (load32 cpu a)
+  | W16 -> Int64.of_int (Mem.read_u16 cpu.mem a)
+  | W8 -> Int64.of_int (Mem.read_u8 cpu.mem a)
+
+let[@inline] store_w cpu w a v =
+  match w with
+  | W64 -> store64 cpu a v
+  | W32 -> store32 cpu a (Int64.to_int v)
+  | W16 -> Mem.write_u16 cpu.mem a (Int64.to_int v)
+  | W8 -> Mem.write_u8 cpu.mem a (Int64.to_int v)
+
+(* -------- stack -------- *)
 
 let rsp_i = Reg.index Reg.RSP
 
-let push64 cpu v =
-  let sp = Int64.to_int cpu.regs.{rsp_i} - 8 in
-  cpu.regs.{rsp_i} <- Int64.of_int sp;
-  let a = sp land addr_mask in
-  let off = a land 0xFFF in
-  if off <= 0xFF8 then Bytes.set_int64_le (Mem.page cpu.mem (a lsr 12)) off v
-  else Mem.write_u64 cpu.mem a v
+let[@inline] push64 cpu v =
+  let sp = Int64.to_int (A1.unsafe_get cpu.regs rsp_i) - 8 in
+  A1.unsafe_set cpu.regs rsp_i (Int64.of_int sp);
+  store64 cpu (sp land addr_mask) v
 
-let pop64 cpu =
-  let sp = Int64.to_int cpu.regs.{rsp_i} in
-  let a = sp land addr_mask in
-  let off = a land 0xFFF in
-  let v =
-    if off <= 0xFF8 then Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off
-    else Mem.read_u64 cpu.mem a
-  in
-  cpu.regs.{rsp_i} <- Int64.of_int (sp + 8);
+let[@inline] pop64 cpu =
+  let sp = Int64.to_int (A1.unsafe_get cpu.regs rsp_i) in
+  let v = load64 cpu (sp land addr_mask) in
+  A1.unsafe_set cpu.regs rsp_i (Int64.of_int (sp + 8));
   v
 
 (* -------- SSE helpers -------- *)
@@ -476,7 +523,7 @@ let xop_load32 cpu = function
   | Xr x -> Int64.logand cpu.xlo.{x} 0xFFFFFFFFL
   | Xm m -> Int64.of_int (Mem.read_u32 cpu.mem (resolve cpu m))
 
-let fp_bin op a b =
+let[@inline] fp_bin op a b =
   match op with
   | FAdd -> a +. b
   | FSub -> a -. b
@@ -567,6 +614,7 @@ type cache_stats = {
   traces_built : int;    (* self-loop blocks promoted to traces *)
   trace_side_exits : int;(* early exits taken out of a trace *)
   fused_pairs : (string * int) list; (* fused pairs created, by pattern *)
+  tlb_misses : int;      (* memory accesses that missed the software TLB *)
   flag_records : int;    (* lazy flag records created *)
   flag_materialized : int; (* records forced by an actual flag read *)
   flag_dead_writes : int;  (* flag writes elided by block-local liveness *)
@@ -578,10 +626,8 @@ let cache_stats cpu =
     ic_hits = cpu.sb_ic_hits; ic_misses = cpu.sb_ic_misses;
     blocks_live = Hashtbl.length cpu.blocks;
     traces_built = cpu.sb_traces; trace_side_exits = cpu.sb_side_exits;
-    fused_pairs =
-      [ ("cmp_jcc", cpu.fu_cmpjcc); ("mov_alu", cpu.fu_mov_alu);
-        ("lea_mem", cpu.fu_lea_mem); ("spill", cpu.fu_spill);
-        ("other", cpu.fu_other) ];
+    fused_pairs = [ ("cmp_jcc", cpu.fu_cmpjcc) ];
+    tlb_misses = cpu.mem.Mem.tlb_misses;
     flag_records = cpu.fl_records; flag_materialized = cpu.fl_mats;
     flag_dead_writes = cpu.fl_dead }
 
@@ -602,8 +648,8 @@ let reset_cache_stats cpu =
   cpu.sb_flushes <- 0; cpu.sb_chained <- 0;
   cpu.sb_ic_hits <- 0; cpu.sb_ic_misses <- 0;
   cpu.sb_traces <- 0; cpu.sb_side_exits <- 0;
-  cpu.fu_cmpjcc <- 0; cpu.fu_mov_alu <- 0; cpu.fu_lea_mem <- 0;
-  cpu.fu_spill <- 0; cpu.fu_other <- 0;
+  cpu.fu_cmpjcc <- 0;
+  cpu.mem.Mem.tlb_misses <- 0;
   cpu.fl_records <- 0; cpu.fl_mats <- 0; cpu.fl_dead <- 0
 
 let target_addr = function
@@ -636,25 +682,25 @@ let exec cpu (i : insn) =
      (match op with
       | Add ->
         let r = trunc w (Int64.add a b) in
-        flags_add cpu w a b r;
+        flags_add cpu w 0L a b r;
         write_op cpu w dst r
       | Adc ->
         let cin = if cpu.cf then 1L else 0L in
         let r = trunc w (Int64.add (Int64.add a b) cin) in
-        flags_add ~cin cpu w a b r;
+        flags_add cpu w cin a b r;
         write_op cpu w dst r
       | Sub ->
         let r = trunc w (Int64.sub a b) in
-        flags_sub cpu w a b r;
+        flags_sub cpu w 0L a b r;
         write_op cpu w dst r
       | Sbb ->
         let cin = if cpu.cf then 1L else 0L in
         let r = trunc w (Int64.sub (Int64.sub a b) cin) in
-        flags_sub ~cin cpu w a b r;
+        flags_sub cpu w cin a b r;
         write_op cpu w dst r
       | Cmp ->
         let r = trunc w (Int64.sub a b) in
-        flags_sub cpu w a b r
+        flags_sub cpu w 0L a b r
       | And ->
         let r = Int64.logand a b in
         flags_logic cpu w r;
@@ -769,13 +815,13 @@ let exec cpu (i : insn) =
       | Inc ->
         let r = trunc w (Int64.add a 1L) in
         let cf = cpu.cf in
-        flags_add cpu w a 1L r;
+        flags_add cpu w 0L a 1L r;
         cpu.cf <- cf;
         write_op cpu w dst r
       | Dec ->
         let r = trunc w (Int64.sub a 1L) in
         let cf = cpu.cf in
-        flags_sub cpu w a 1L r;
+        flags_sub cpu w 0L a 1L r;
         cpu.cf <- cf;
         write_op cpu w dst r)
    | Push src -> push64 cpu (read_op cpu W64 src)
@@ -963,724 +1009,470 @@ let step cpu =
 
 (* -------- instruction translation -------- *)
 
-(* [translate] pre-compiles one decoded instruction into a closure
-   with operand kinds, register indices, widths and immediates
-   resolved at translation time, so the block engine's inner loop pays
-   neither the outer instruction dispatch nor the per-access operand
-   matches.  Every closure returns the dynamic cycle penalty, exactly
-   like {!exec}, and semantics are kept identical by reusing the same
-   flag/memory helpers; infrequent forms simply fall back to [exec]. *)
+(* [translate] pre-compiles one decoded instruction into one flat
+   closure.  Operand kinds, register slots, widths, immediates and
+   addressing modes are resolved at translation time; the closure body
+   then computes addresses, operand values and lazy flag records
+   itself.  A translated closure never calls another closure and never
+   passes an [int64] across a call that is not inlined — a boxed
+   [int64] is one minor-heap allocation per call — so the block
+   engine's steady state allocates nothing.  The [@inline] helpers
+   below are the vocabulary the bodies are written in; applied to a
+   constant operation they fold to straight-line code.  Every closure
+   returns the dynamic cycle penalty, exactly like {!exec}, and forms
+   that compilers do not emit in hot code simply fall back to [exec]. *)
 
-(* Pre-resolve an addressing mode into a direct closure: the operand's
-   base/index/displacement shape is dispatched once at translation
-   time, so the per-execution path is plain native-int arithmetic.
-   Native int sums agree with the Int64 path because the final mask to
+(* A translation-time operand.  Registers and immediates share one
+   formula, [(regs.(r) land m) + k]: a GPR is [(r, width mask, 0)], an
+   immediate is [(zr, _, value)].  Memory is [regs.(b) + regs.(i) * s
+   + d], a missing base or index pointing at [zr]; a RIP-relative
+   displacement is made absolute at translation time, because the
+   engine sets [cpu.rip] to the end of the instruction before running
+   it.  Segment-relative memory and the legacy high-byte registers only
+   take the generic path (segment-relative SSE operands are left to
+   [exec]). *)
+type opnd =
+  | Ri of int * int64 * int64
+  | Mm of int * int * int * int
+  | Sg of segment * int * int * int * int
+  | Hi of int
+
+let addr_parts ~next (m : mem_addr) =
+  let b = match m.base with Some r -> Reg.index r | None -> zr in
+  let i, s =
+    match m.index with
+    | Some (r, s) -> (Reg.index r, scale_factor s)
+    | None -> (zr, 0)
+  in
+  (b, i, s, if m.rip then m.disp + next else m.disp)
+
+let opnd ~next w = function
+  | OReg r -> Ri (Reg.index r, wmask w, 0L)
+  | OImm v -> Ri (zr, 0L, trunc w v)
+  | OReg8H r -> Hi (Reg.index r)
+  | OMem m ->
+    let b, i, s, d = addr_parts ~next m in
+    (match m.seg with None -> Mm (b, i, s, d) | Some g -> Sg (g, b, i, s, d))
+
+let[@inline] gpr cpu i = A1.unsafe_get cpu.regs i
+let[@inline] set_gpr cpu i v = A1.unsafe_set cpu.regs i v
+let[@inline] ri cpu r m k = Int64.add (Int64.logand (gpr cpu r) m) k
+
+(* Native int sums agree with the Int64 path because the final mask to
    48 bits commutes with wrap-around at both 2^63 and 2^64. *)
-let addr_of (m : mem_addr) : t -> int =
-  if m.seg <> None || m.rip then fun cpu -> resolve cpu m
-  else
-    let disp = m.disp in
-    match (m.base, m.index) with
-    | Some b, None ->
-      let b = Reg.index b in
-      if disp = 0 then
-        fun cpu -> Int64.to_int (A1.unsafe_get cpu.regs b) land addr_mask
-      else
-        fun cpu ->
-          (Int64.to_int (A1.unsafe_get cpu.regs b) + disp) land addr_mask
-    | Some b, Some (i, s) ->
-      let b = Reg.index b and i = Reg.index i and f = scale_factor s in
-      fun cpu ->
-        (Int64.to_int (A1.unsafe_get cpu.regs b)
-         + (Int64.to_int (A1.unsafe_get cpu.regs i) * f)
-         + disp)
-        land addr_mask
-    | None, Some (i, s) ->
-      let i = Reg.index i and f = scale_factor s in
-      fun cpu ->
-        ((Int64.to_int (A1.unsafe_get cpu.regs i) * f) + disp)
-        land addr_mask
-    | None, None -> fun _ -> disp land addr_mask
+let[@inline] ea cpu b i s d =
+  (Int64.to_int (gpr cpu b) + (Int64.to_int (gpr cpu i) * s) + d)
+  land addr_mask
 
-(* full 64-bit effective address for lea, same pre-resolution *)
-let eff_of (m : mem_addr) : t -> int64 =
-  if m.seg <> None || m.rip then fun cpu -> effective cpu m
-  else
-    let disp = Int64.of_int m.disp in
-    match (m.base, m.index) with
-    | Some b, None ->
-      let b = Reg.index b in
-      if m.disp = 0 then fun cpu -> A1.unsafe_get cpu.regs b
-      else fun cpu -> Int64.add (A1.unsafe_get cpu.regs b) disp
-    | Some b, Some (i, s) ->
-      let b = Reg.index b and i = Reg.index i in
-      let f = Int64.of_int (scale_factor s) in
-      fun cpu ->
-        Int64.add
-          (Int64.add (A1.unsafe_get cpu.regs b)
-             (Int64.mul (A1.unsafe_get cpu.regs i) f))
-          disp
-    | None, _ -> fun cpu -> effective cpu m
+let[@inline] seg_ea cpu g b i s d =
+  (ea cpu b i s d + (match g with FS -> cpu.fs_base | GS -> cpu.gs_base))
+  land addr_mask
 
-let rd_operand w (op : operand) : t -> int64 =
+let[@inline] rd cpu w o =
+  match o with
+  | Ri (r, m, k) -> ri cpu r m k
+  | Mm (b, i, s, d) -> load_w cpu w (ea cpu b i s d)
+  | Sg (g, b, i, s, d) -> load_w cpu w (seg_ea cpu g b i s d)
+  | Hi r -> Int64.logand (Int64.shift_right_logical (gpr cpu r) 8) 0xFFL
+
+let[@inline] wr cpu w o v =
+  match o with
+  | Ri (r, _, _) ->
+    if r = zr then err "cannot write to an immediate" else wr_gpr cpu w r v
+  | Mm (b, i, s, d) -> store_w cpu w (ea cpu b i s d) v
+  | Sg (g, b, i, s, d) -> store_w cpu w (seg_ea cpu g b i s d) v
+  | Hi r ->
+    set_gpr cpu r
+      (Int64.logor
+         (Int64.logand (gpr cpu r) 0xFFFFFFFFFFFF00FFL)
+         (Int64.shift_left (Int64.logand v 0xFFL) 8))
+
+(* lazy flag records (see [materialize]) *)
+let[@inline] record cpu op w a b r =
+  cpu.fl_op <- op; cpu.fl_w <- w;
+  A1.unsafe_set cpu.flbuf 0 a;
+  A1.unsafe_set cpu.flbuf 1 b;
+  A1.unsafe_set cpu.flbuf 2 r;
+  cpu.fl_records <- cpu.fl_records + 1
+
+let[@inline] record_logic cpu w r =
+  cpu.fl_op <- FlLogic; cpu.fl_w <- w;
+  A1.unsafe_set cpu.flbuf 2 r;
+  cpu.fl_records <- cpu.fl_records + 1
+
+let[@inline] record_imul cpu w a b =
+  cpu.fl_op <- FlImul; cpu.fl_w <- w;
+  A1.unsafe_set cpu.flbuf 0 a;
+  A1.unsafe_set cpu.flbuf 1 b;
+  cpu.fl_records <- cpu.fl_records + 1
+
+(* [a op b] on operands already masked to the width ([m]); records the
+   flags unless [live] is false.  [Cmp] returns [a] (nothing is
+   written back). *)
+let[@inline] alu cpu op live w m a b =
   match op with
-  | OReg r ->
-    let i = Reg.index r in
-    (match w with
-     | W64 -> fun cpu -> A1.unsafe_get cpu.regs i
-     | W32 -> fun cpu -> Int64.logand (A1.unsafe_get cpu.regs i) 0xFFFFFFFFL
-     | W16 -> fun cpu -> Int64.logand (A1.unsafe_get cpu.regs i) 0xFFFFL
-     | W8 -> fun cpu -> Int64.logand (A1.unsafe_get cpu.regs i) 0xFFL)
-  | OReg8H r -> fun cpu -> get_reg8h cpu r
-  | OImm v -> let v = trunc w v in fun _ -> v
-  | OMem m ->
-    let af = addr_of m in
-    (match w with
-     | W8 -> fun cpu -> Int64.of_int (Mem.read_u8 cpu.mem (af cpu))
-     | W16 -> fun cpu -> Int64.of_int (Mem.read_u16 cpu.mem (af cpu))
-     | W32 -> fun cpu -> Int64.of_int (Mem.read_u32 cpu.mem (af cpu))
-     | W64 ->
-       fun cpu ->
-         let a = af cpu in
-         let off = a land 0xFFF in
-         if off <= 0xFF8 then
-           Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off
-         else Mem.read_u64 cpu.mem a)
+  | Add ->
+    let r = Int64.logand (Int64.add a b) m in
+    if live then record cpu FlAdd w a b r;
+    r
+  | Sub ->
+    let r = Int64.logand (Int64.sub a b) m in
+    if live then record cpu FlSub w a b r;
+    r
+  | Cmp ->
+    if live then record cpu FlSub w a b (Int64.logand (Int64.sub a b) m);
+    a
+  | And ->
+    let r = Int64.logand a b in
+    if live then record_logic cpu w r;
+    r
+  | Or ->
+    let r = Int64.logor a b in
+    if live then record_logic cpu w r;
+    r
+  | Xor ->
+    let r = Int64.logxor a b in
+    if live then record_logic cpu w r;
+    r
+  | Adc | Sbb -> assert false
 
-let wr_operand w (op : operand) : t -> int64 -> unit =
-  match op with
-  | OReg r ->
-    let i = Reg.index r in
-    (match w with
-     | W64 -> fun cpu v -> A1.unsafe_set cpu.regs i v
-     | W32 -> fun cpu v -> cpu.regs.{i} <- trunc W32 v
-     | _ -> fun cpu v -> set_reg cpu w r v)
-  | OReg8H r -> fun cpu v -> set_reg8h cpu r v
-  | OMem m ->
-    let af = addr_of m in
-    (match w with
-     | W8 -> fun cpu v -> Mem.write_u8 cpu.mem (af cpu) (Int64.to_int v)
-     | W16 -> fun cpu v -> Mem.write_u16 cpu.mem (af cpu) (Int64.to_int v)
-     | W32 ->
-       fun cpu v ->
-         Mem.write_u32 cpu.mem (af cpu) (Int64.to_int (trunc W32 v))
-     | W64 -> fun cpu v -> Mem.write_u64 cpu.mem (af cpu) v)
-  | OImm _ -> fun _ _ -> err "cannot write to an immediate"
+(* GPR destination, register/immediate source *)
+let[@inline] alu_ri cpu op live w m d r k =
+  let v = alu cpu op live w m (Int64.logand (gpr cpu d) m) (ri cpu r m k) in
+  if op <> Cmp then set_gpr cpu d v
 
-let fp_fun = function
-  | FAdd -> ( +. )
-  | FSub -> ( -. )
-  | FMul -> ( *. )
-  | FDiv -> ( /. )
-  | FMin -> fun a b -> if a < b then a else b
-  | FMax -> fun a b -> if a > b then a else b
-  | FSqrt -> fun _ b -> sqrt b
+let[@inline] ult a b =
+  Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int
 
-let translate ?(dead_flags = false) (c : Cost.t) (i : insn) : t -> int =
+let[@inline] sub_overflows sh a b r =
+  Int64.shift_left (Int64.logand (Int64.logxor a b) (Int64.logxor a r)) sh
+  < 0L
+
+(* Branch predicates evaluated directly on a comparison's operands: the
+   textbook identities between cmp a,b / test a,b flags and the
+   condition codes.  Used by the cmp/test+jcc slot, which records the
+   lazy flags but never materializes them. *)
+let[@inline] sub_holds cc sh a b r =
+  match cc with
+  | E -> r = 0L
+  | NE -> r <> 0L
+  | B -> ult a b
+  | AE -> not (ult a b)
+  | BE -> not (ult b a)
+  | A -> ult b a
+  | S -> Int64.shift_left r sh < 0L
+  | NS -> Int64.shift_left r sh >= 0L
+  | L -> sx sh a < sx sh b
+  | GE -> sx sh a >= sx sh b
+  | LE -> sx sh a <= sx sh b
+  | G -> sx sh a > sx sh b
+  | O -> sub_overflows sh a b r
+  | NO -> not (sub_overflows sh a b r)
+  | P -> parity_even r
+  | NP -> not (parity_even r)
+
+let[@inline] logic_holds cc sh r =
+  match cc with
+  | E | BE -> r = 0L
+  | NE | A -> r <> 0L
+  | B | O -> false
+  | AE | NO -> true
+  | S | L -> Int64.shift_left r sh < 0L
+  | NS | GE -> Int64.shift_left r sh >= 0L
+  | LE -> r = 0L || Int64.shift_left r sh < 0L
+  | G -> r <> 0L && Int64.shift_left r sh >= 0L
+  | P -> parity_even r
+  | NP -> not (parity_even r)
+
+let[@inline] fp_bits op a b =
+  Int64.bits_of_float
+    (fp_bin op (Int64.float_of_bits a) (Int64.float_of_bits b))
+
+let[@inline] xlo cpu x = A1.unsafe_get cpu.xlo x
+let[@inline] xhi cpu x = A1.unsafe_get cpu.xhi x
+let[@inline] set_xlo cpu x v = A1.unsafe_set cpu.xlo x v
+let[@inline] set_xhi cpu x v = A1.unsafe_set cpu.xhi x v
+
+(* packed-double arithmetic on both lanes *)
+let[@inline] pd cpu op x lo hi =
+  set_xlo cpu x (fp_bits op (xlo cpu x) lo);
+  set_xhi cpu x (fp_bits op (xhi cpu x) hi)
+
+let[@inline] sd_mem cpu op x b i s d =
+  set_xlo cpu x (fp_bits op (xlo cpu x) (load64 cpu (ea cpu b i s d)))
+
+(* a 16-byte memory source that is not 16-aligned costs [up] *)
+let[@inline] pd_mem cpu op x b i s d up =
+  let a = ea cpu b i s d in
+  pd cpu op x (load64 cpu a) (load64 cpu (a + 8));
+  if is_16aligned a then 0 else up
+
+let translate ?(dead_flags = false) ~next (c : Cost.t) (i : insn) : t -> int =
+  let live = not dead_flags in
+  let opnd w o = opnd ~next w o in
+  let mem_ea m = addr_parts ~next m in
+  let up = c.unaligned_vec in
   match i with
-  (* dead-flag variants: the block-local liveness scan proved this
-     insn's flag write is overwritten before any reader/exit/fault, so
-     skip the lazy-record bookkeeping entirely (a dead cmp/test is a
-     complete no-op) *)
-  | Alu ((Add | Sub | And | Or | Xor) as op, ((W64 | W32) as w), OReg d,
-         src)
-    when dead_flags ->
-    let di = Reg.index d and rd_s = rd_operand w src in
-    (match (op, w) with
-     | Add, W64 ->
-       fun cpu ->
-         A1.unsafe_set cpu.regs di
-           (Int64.add (A1.unsafe_get cpu.regs di) (rd_s cpu)); 0
-     | Add, _ ->
-       fun cpu ->
-         A1.unsafe_set cpu.regs di
-           (Int64.logand
-              (Int64.add (A1.unsafe_get cpu.regs di) (rd_s cpu))
-              0xFFFFFFFFL); 0
-     | Sub, W64 ->
-       fun cpu ->
-         A1.unsafe_set cpu.regs di
-           (Int64.sub (A1.unsafe_get cpu.regs di) (rd_s cpu)); 0
-     | Sub, _ ->
-       fun cpu ->
-         A1.unsafe_set cpu.regs di
-           (Int64.logand
-              (Int64.sub (A1.unsafe_get cpu.regs di) (rd_s cpu))
-              0xFFFFFFFFL); 0
-     | And, _ ->
-       (* source read is already masked to [w], so the AND masks the
-          stale upper destination bits itself *)
-       fun cpu ->
-         A1.unsafe_set cpu.regs di
-           (Int64.logand (A1.unsafe_get cpu.regs di) (rd_s cpu)); 0
-     | Or, W64 ->
-       fun cpu ->
-         A1.unsafe_set cpu.regs di
-           (Int64.logor (A1.unsafe_get cpu.regs di) (rd_s cpu)); 0
-     | Or, _ ->
-       fun cpu ->
-         A1.unsafe_set cpu.regs di
-           (Int64.logand
-              (Int64.logor (A1.unsafe_get cpu.regs di) (rd_s cpu))
-              0xFFFFFFFFL); 0
-     | Xor, W64 ->
-       fun cpu ->
-         A1.unsafe_set cpu.regs di
-           (Int64.logxor (A1.unsafe_get cpu.regs di) (rd_s cpu)); 0
-     | Xor, _ ->
-       fun cpu ->
-         A1.unsafe_set cpu.regs di
-           (Int64.logand
-              (Int64.logxor (A1.unsafe_get cpu.regs di) (rd_s cpu))
-              0xFFFFFFFFL); 0
-     | (Cmp | Adc | Sbb), _ -> assert false)
-  | Alu ((Add | Sub | And | Or | Xor) as op, w, dst, src) when dead_flags ->
-    let rd_d = rd_operand w dst and rd_s = rd_operand w src in
-    let wr_d = wr_operand w dst in
-    (match op with
-     | Add -> fun cpu -> wr_d cpu (trunc w (Int64.add (rd_d cpu) (rd_s cpu))); 0
-     | Sub -> fun cpu -> wr_d cpu (trunc w (Int64.sub (rd_d cpu) (rd_s cpu))); 0
-     | And -> fun cpu -> wr_d cpu (Int64.logand (rd_d cpu) (rd_s cpu)); 0
-     | Or -> fun cpu -> wr_d cpu (Int64.logor (rd_d cpu) (rd_s cpu)); 0
-     | Xor -> fun cpu -> wr_d cpu (Int64.logxor (rd_d cpu) (rd_s cpu)); 0
-     | Cmp | Adc | Sbb -> assert false)
-  | Alu (Cmp, _, _, _) when dead_flags -> (fun _ -> 0)
-  | Test _ when dead_flags -> (fun _ -> 0)
-  | Imul2 (w, dst, src) when dead_flags ->
-    let rd = rd_operand w src in
+  (* a dead cmp/test writes nothing but flags: a complete no-op *)
+  | Alu (Cmp, _, _, _) | Test _ when dead_flags -> (fun _ -> 0)
+  | Alu ((Add | Sub | Cmp | And | Or | Xor) as op, ((W64 | W32) as w),
+         OReg d, ((OReg _ | OImm _) as src)) ->
+    (* the hottest shape: GPR destination, register or immediate
+       source; W32 results are masked, which is the zero extension *)
+    let d = Reg.index d and m = wmask w in
+    let r, k = match opnd w src with Ri (r, _, k) -> (r, k) | _ -> assert false in
+    (match (op, live) with
+     | Add, true -> fun cpu -> alu_ri cpu Add true w m d r k; 0
+     | Add, false -> fun cpu -> alu_ri cpu Add false w m d r k; 0
+     | Sub, true -> fun cpu -> alu_ri cpu Sub true w m d r k; 0
+     | Sub, false -> fun cpu -> alu_ri cpu Sub false w m d r k; 0
+     | And, true -> fun cpu -> alu_ri cpu And true w m d r k; 0
+     | And, false -> fun cpu -> alu_ri cpu And false w m d r k; 0
+     | Or, true -> fun cpu -> alu_ri cpu Or true w m d r k; 0
+     | Or, false -> fun cpu -> alu_ri cpu Or false w m d r k; 0
+     | Xor, true -> fun cpu -> alu_ri cpu Xor true w m d r k; 0
+     | Xor, false -> fun cpu -> alu_ri cpu Xor false w m d r k; 0
+     | Cmp, _ -> fun cpu -> alu_ri cpu Cmp true w m d r k; 0
+     | (Adc | Sbb), _ -> assert false)
+  | Alu ((Add | Sub | Cmp | And | Or | Xor) as op, w, dst, src) ->
+    let dst = opnd w dst and src = opnd w src and m = wmask w in
     fun cpu ->
-      set_reg cpu w dst
-        (trunc w (Int64.mul (sext w (get_reg cpu w dst)) (sext w (rd cpu))));
+      let r = alu cpu op live w m (rd cpu w dst) (rd cpu w src) in
+      if op <> Cmp then wr cpu w dst r;
       0
-  | Imul3 (W64, dst, src, imm) when dead_flags ->
-    let rd = rd_operand W64 src and di = Reg.index dst in
-    fun cpu -> A1.unsafe_set cpu.regs di (Int64.mul (rd cpu) imm); 0
-  | Imul3 (w, dst, src, imm) when dead_flags ->
-    let rd = rd_operand w src in
-    let b = sext w (trunc w imm) in
-    fun cpu -> set_reg cpu w dst (trunc w (Int64.mul (sext w (rd cpu)) b)); 0
-  | Mov (W64, OReg d, OReg s) ->
-    let d = Reg.index d and s = Reg.index s in
-    fun cpu -> cpu.regs.{d} <- cpu.regs.{s}; 0
-  | Mov (W64, OReg d, OMem m) ->
-    let d = Reg.index d and af = addr_of m in
+  | Test (w, a, b) ->
+    (match (opnd w a, opnd w b) with
+     | Ri (ra, ma, ka), Ri (rb, mb, kb) ->
+       fun cpu ->
+         record_logic cpu w (Int64.logand (ri cpu ra ma ka) (ri cpu rb mb kb));
+         0
+     | a, b ->
+       fun cpu -> record_logic cpu w (Int64.logand (rd cpu w a) (rd cpu w b)); 0)
+  | Imul2 (w, dst, src) ->
+    (* flags (SF/ZF/PF and the overflow-derived CF/OF) are recorded
+       lazily: [FlImul] materialization recomputes the product from the
+       sign-extended operands *)
+    let d = Reg.index dst and src = opnd w src in
+    let m = wmask w and sh = wshift w in
     fun cpu ->
-      let a = af cpu in
-      let off = a land 0xFFF in
-      A1.unsafe_set cpu.regs d
-        (if off <= 0xFF8 then
-           Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off
-         else Mem.read_u64 cpu.mem a);
+      let a = sx sh (Int64.logand (gpr cpu d) m) in
+      let b = sx sh (rd cpu w src) in
+      if live then record_imul cpu w a b;
+      wr_gpr cpu w d (Int64.logand (Int64.mul a b) m);
       0
-  | Mov (W32, OReg d, OMem m) ->
-    let d = Reg.index d and af = addr_of m in
-    fun cpu -> cpu.regs.{d} <- Int64.of_int (Mem.read_u32 cpu.mem (af cpu)); 0
-  | Mov (W64, OMem m, OReg s) ->
-    let s = Reg.index s and af = addr_of m in
-    fun cpu ->
-      let a = af cpu in
-      let off = a land 0xFFF in
-      let v = A1.unsafe_get cpu.regs s in
-      if off <= 0xFF8 then
-        Bytes.set_int64_le (Mem.page cpu.mem (a lsr 12)) off v
-      else Mem.write_u64 cpu.mem a v;
-      0
-  | Mov (W32, OMem m, OReg s) ->
-    let s = Reg.index s and af = addr_of m in
-    fun cpu ->
-      Mem.write_u32 cpu.mem (af cpu) (Int64.to_int cpu.regs.{s}); 0
-  | Mov (W64, OReg d, OImm v) ->
-    let d = Reg.index d in
-    fun cpu -> cpu.regs.{d} <- v; 0
-  | Mov (W32, OReg d, OImm v) ->
-    let d = Reg.index d and v = trunc W32 v in
-    fun cpu -> cpu.regs.{d} <- v; 0
+  | Imul3 (w, dst, src, imm) ->
+    let d = Reg.index dst and m = wmask w and sh = wshift w in
+    let b = sx sh (trunc w imm) in
+    (match (w, opnd w src) with
+     | (W64 | W32), Ri (r, _, k) ->
+       fun cpu ->
+         let a = sx sh (ri cpu r m k) in
+         if live then record_imul cpu w a b;
+         set_gpr cpu d (Int64.logand (Int64.mul a b) m);
+         0
+     | _, src ->
+       fun cpu ->
+         let a = sx sh (rd cpu w src) in
+         if live then record_imul cpu w a b;
+         wr_gpr cpu w d (Int64.logand (Int64.mul a b) m);
+         0)
   | Mov (w, dst, src) ->
-    let rd = rd_operand w src and wr = wr_operand w dst in
-    fun cpu -> wr cpu (rd cpu); 0
+    (* an immediate destination ([d = zr]) takes the generic path,
+       whose write raises *)
+    (match (w, opnd w dst, opnd w src) with
+     | (W64 | W32), Ri (d, _, _), Ri (r, m, k) when d <> zr ->
+       fun cpu -> set_gpr cpu d (ri cpu r m k); 0
+     | W64, Ri (d, _, _), Mm (b, i, s, dp) when d <> zr ->
+       fun cpu -> set_gpr cpu d (load64 cpu (ea cpu b i s dp)); 0
+     | W32, Ri (d, _, _), Mm (b, i, s, dp) when d <> zr ->
+       fun cpu -> set_gpr cpu d (Int64.of_int (load32 cpu (ea cpu b i s dp))); 0
+     | W64, Mm (b, i, s, dp), Ri (r, m, k) ->
+       fun cpu -> store64 cpu (ea cpu b i s dp) (ri cpu r m k); 0
+     | W32, Mm (b, i, s, dp), Ri (r, m, k) ->
+       fun cpu ->
+         store32 cpu (ea cpu b i s dp) (Int64.to_int (ri cpu r m k)); 0
+     | _, dst, src -> fun cpu -> wr cpu w dst (rd cpu w src); 0)
   | Movabs (r, v) ->
     let d = Reg.index r in
-    fun cpu -> cpu.regs.{d} <- v; 0
-  | Movzx ((W64 | W32), d, sw, src) ->
+    fun cpu -> set_gpr cpu d v; 0
+  | Movzx (dw, d, sw, src) ->
     (* the source read is already zero-extended past [sw] *)
-    let d = Reg.index d and rd = rd_operand sw src in
-    fun cpu -> cpu.regs.{d} <- rd cpu; 0
-  | Movzx (dw, dst, sw, src) ->
-    let rd = rd_operand sw src in
-    fun cpu -> set_reg cpu dw dst (rd cpu); 0
-  | Movsx (W64, d, sw, src) ->
-    let d = Reg.index d and rd = rd_operand sw src in
-    fun cpu -> cpu.regs.{d} <- sext sw (rd cpu); 0
-  | Movsx (dw, dst, sw, src) ->
-    let rd = rd_operand sw src in
-    fun cpu -> set_reg cpu dw dst (trunc dw (sext sw (rd cpu))); 0
+    let d = Reg.index d in
+    (match (dw, opnd sw src) with
+     | (W64 | W32), Ri (r, m, k) -> fun cpu -> set_gpr cpu d (ri cpu r m k); 0
+     | (W64 | W32), src -> fun cpu -> set_gpr cpu d (rd cpu sw src); 0
+     | _, src -> fun cpu -> wr_gpr cpu dw d (rd cpu sw src); 0)
+  | Movsx (dw, d, sw, src) ->
+    let d = Reg.index d and sh = wshift sw and m = wmask dw in
+    (match (dw, opnd sw src) with
+     | W64, Ri (r, mk, k) -> fun cpu -> set_gpr cpu d (sx sh (ri cpu r mk k)); 0
+     | W64, src -> fun cpu -> set_gpr cpu d (sx sh (rd cpu sw src)); 0
+     | _, src ->
+       fun cpu -> wr_gpr cpu dw d (Int64.logand (sx sh (rd cpu sw src)) m); 0)
   | Lea (dst, m) ->
-    let d = Reg.index dst and eff = eff_of { m with seg = None } in
-    fun cpu -> cpu.regs.{d} <- eff cpu; 0
-  | Alu ((Add | Sub | Cmp | And | Or | Xor) as op, ((W64 | W32) as w),
-         OReg d, src) ->
-    (* register destination: read and write the GPR cell directly, so
-       the common ALU forms cost one arity-1 closure call for the
-       source operand and no generic write dispatch *)
-    let di = Reg.index d and rd_s = rd_operand w src in
-    let rec_add cpu a b r =
-      cpu.fl_op <- FlAdd; cpu.fl_w <- w;
-      Bigarray.Array1.unsafe_set cpu.flbuf 0 a;
-      Bigarray.Array1.unsafe_set cpu.flbuf 1 b;
-      Bigarray.Array1.unsafe_set cpu.flbuf 2 r;
-      cpu.fl_records <- cpu.fl_records + 1
-    in
-    let rec_sub cpu a b r =
-      cpu.fl_op <- FlSub; cpu.fl_w <- w;
-      Bigarray.Array1.unsafe_set cpu.flbuf 0 a;
-      Bigarray.Array1.unsafe_set cpu.flbuf 1 b;
-      Bigarray.Array1.unsafe_set cpu.flbuf 2 r;
-      cpu.fl_records <- cpu.fl_records + 1
-    in
-    let rec_logic cpu r =
-      cpu.fl_op <- FlLogic; cpu.fl_w <- w;
-      Bigarray.Array1.unsafe_set cpu.flbuf 2 r;
-      cpu.fl_records <- cpu.fl_records + 1
-    in
-    (match (op, w) with
-     | Add, W64 ->
-       fun cpu ->
-         let a = A1.unsafe_get cpu.regs di in
-         let b = rd_s cpu in
-         let r = Int64.add a b in
-         rec_add cpu a b r;
-         A1.unsafe_set cpu.regs di r; 0
-     | Add, _ ->
-       fun cpu ->
-         let a = Int64.logand (A1.unsafe_get cpu.regs di) 0xFFFFFFFFL in
-         let b = rd_s cpu in
-         let r = Int64.logand (Int64.add a b) 0xFFFFFFFFL in
-         rec_add cpu a b r;
-         A1.unsafe_set cpu.regs di r; 0
-     | Sub, W64 ->
-       fun cpu ->
-         let a = A1.unsafe_get cpu.regs di in
-         let b = rd_s cpu in
-         let r = Int64.sub a b in
-         rec_sub cpu a b r;
-         A1.unsafe_set cpu.regs di r; 0
-     | Sub, _ ->
-       fun cpu ->
-         let a = Int64.logand (A1.unsafe_get cpu.regs di) 0xFFFFFFFFL in
-         let b = rd_s cpu in
-         let r = Int64.logand (Int64.sub a b) 0xFFFFFFFFL in
-         rec_sub cpu a b r;
-         A1.unsafe_set cpu.regs di r; 0
-     | Cmp, W64 ->
-       fun cpu ->
-         let a = A1.unsafe_get cpu.regs di in
-         let b = rd_s cpu in
-         rec_sub cpu a b (Int64.sub a b); 0
-     | Cmp, _ ->
-       fun cpu ->
-         let a = Int64.logand (A1.unsafe_get cpu.regs di) 0xFFFFFFFFL in
-         let b = rd_s cpu in
-         rec_sub cpu a b (Int64.logand (Int64.sub a b) 0xFFFFFFFFL); 0
-     | And, _ ->
-       fun cpu ->
-         let a = trunc w (A1.unsafe_get cpu.regs di) in
-         let r = Int64.logand a (rd_s cpu) in
-         rec_logic cpu r;
-         A1.unsafe_set cpu.regs di r; 0
-     | Or, _ ->
-       fun cpu ->
-         let a = trunc w (A1.unsafe_get cpu.regs di) in
-         let r = Int64.logor a (rd_s cpu) in
-         rec_logic cpu r;
-         A1.unsafe_set cpu.regs di r; 0
-     | Xor, _ ->
-       fun cpu ->
-         let a = trunc w (A1.unsafe_get cpu.regs di) in
-         let r = Int64.logxor a (rd_s cpu) in
-         rec_logic cpu r;
-         A1.unsafe_set cpu.regs di r; 0
-     | (Adc | Sbb), _ -> assert false)
-  | Alu (op, w, dst, src) ->
-    let rd_d = rd_operand w dst and rd_s = rd_operand w src in
-    let wr_d = wr_operand w dst in
-    (match op with
-     | Add ->
-       fun cpu ->
-         let a = rd_d cpu in
-         let b = rd_s cpu in
-         let r = trunc w (Int64.add a b) in
-         cpu.fl_op <- FlAdd; cpu.fl_w <- w;
-         Bigarray.Array1.unsafe_set cpu.flbuf 0 a; Bigarray.Array1.unsafe_set cpu.flbuf 1 b; Bigarray.Array1.unsafe_set cpu.flbuf 2 r;
-         cpu.fl_records <- cpu.fl_records + 1;
-         wr_d cpu r; 0
-     | Sub ->
-       fun cpu ->
-         let a = rd_d cpu in
-         let b = rd_s cpu in
-         let r = trunc w (Int64.sub a b) in
-         cpu.fl_op <- FlSub; cpu.fl_w <- w;
-         Bigarray.Array1.unsafe_set cpu.flbuf 0 a; Bigarray.Array1.unsafe_set cpu.flbuf 1 b; Bigarray.Array1.unsafe_set cpu.flbuf 2 r;
-         cpu.fl_records <- cpu.fl_records + 1;
-         wr_d cpu r; 0
-     | Cmp ->
-       fun cpu ->
-         let a = rd_d cpu in
-         let b = rd_s cpu in
-         cpu.fl_op <- FlSub; cpu.fl_w <- w;
-         Bigarray.Array1.unsafe_set cpu.flbuf 0 a; Bigarray.Array1.unsafe_set cpu.flbuf 1 b;
-         Bigarray.Array1.unsafe_set cpu.flbuf 2 (trunc w (Int64.sub a b));
-         cpu.fl_records <- cpu.fl_records + 1;
-         0
-     | And ->
-       fun cpu ->
-         let r = Int64.logand (rd_d cpu) (rd_s cpu) in
-         cpu.fl_op <- FlLogic; cpu.fl_w <- w; Bigarray.Array1.unsafe_set cpu.flbuf 2 (r);
-         cpu.fl_records <- cpu.fl_records + 1;
-         wr_d cpu r; 0
-     | Or ->
-       fun cpu ->
-         let r = Int64.logor (rd_d cpu) (rd_s cpu) in
-         cpu.fl_op <- FlLogic; cpu.fl_w <- w; Bigarray.Array1.unsafe_set cpu.flbuf 2 (r);
-         cpu.fl_records <- cpu.fl_records + 1;
-         wr_d cpu r; 0
-     | Xor ->
-       fun cpu ->
-         let r = Int64.logxor (rd_d cpu) (rd_s cpu) in
-         cpu.fl_op <- FlLogic; cpu.fl_w <- w; Bigarray.Array1.unsafe_set cpu.flbuf 2 (r);
-         cpu.fl_records <- cpu.fl_records + 1;
-         wr_d cpu r; 0
-     | Adc | Sbb -> (fun cpu -> exec cpu i))
-  | Test (w, a, b) ->
-    let rd_a = rd_operand w a and rd_b = rd_operand w b in
+    (* the full 64-bit effective address; segments do not apply *)
+    let d = Reg.index dst and b, i, s, dp = mem_ea m in
+    let s = Int64.of_int s and dp = Int64.of_int dp in
     fun cpu ->
-      cpu.fl_op <- FlLogic; cpu.fl_w <- w;
-      Bigarray.Array1.unsafe_set cpu.flbuf 2 (Int64.logand (rd_a cpu) (rd_b cpu));
-      cpu.fl_records <- cpu.fl_records + 1;
+      set_gpr cpu d
+        (Int64.add (Int64.add (gpr cpu b) (Int64.mul (gpr cpu i) s)) dp);
       0
-  | Unop (op, w, dst) ->
-    let rd = rd_operand w dst and wr = wr_operand w dst in
-    (match op with
-     | Inc ->
-       fun cpu ->
-         materialize cpu; (* inc preserves CF: need its live value *)
-         let a = rd cpu in
-         let r = trunc w (Int64.add a 1L) in
-         let cf = cpu.cf in
-         flags_add cpu w a 1L r;
-         cpu.cf <- cf; wr cpu r; 0
-     | Dec ->
-       fun cpu ->
-         materialize cpu;
-         let a = rd cpu in
-         let r = trunc w (Int64.sub a 1L) in
-         let cf = cpu.cf in
-         flags_sub cpu w a 1L r;
-         cpu.cf <- cf; wr cpu r; 0
-     | Not -> (fun cpu -> wr cpu (trunc w (Int64.lognot (rd cpu))); 0)
-     | Neg -> (fun cpu -> exec cpu i))
+  | Unop (Inc, w, dst) ->
+    let dst = opnd w dst and m = wmask w in
+    fun cpu ->
+      materialize cpu; (* inc preserves CF: need its live value *)
+      let a = rd cpu w dst in
+      let r = Int64.logand (Int64.add a 1L) m in
+      let cf = cpu.cf in
+      flags_add cpu w 0L a 1L r;
+      cpu.cf <- cf; wr cpu w dst r; 0
+  | Unop (Dec, w, dst) ->
+    let dst = opnd w dst and m = wmask w in
+    fun cpu ->
+      materialize cpu;
+      let a = rd cpu w dst in
+      let r = Int64.logand (Int64.sub a 1L) m in
+      let cf = cpu.cf in
+      flags_sub cpu w 0L a 1L r;
+      cpu.cf <- cf; wr cpu w dst r; 0
+  | Unop (Not, w, dst) ->
+    let dst = opnd w dst and m = wmask w in
+    fun cpu -> wr cpu w dst (Int64.logand (Int64.lognot (rd cpu w dst)) m); 0
   | Push src ->
-    let rd = rd_operand W64 src in
-    fun cpu -> push64 cpu (rd cpu); 0
+    let src = opnd W64 src in
+    fun cpu -> push64 cpu (rd cpu W64 src); 0
   | Pop dst ->
-    let wr = wr_operand W64 dst in
-    fun cpu -> wr cpu (pop64 cpu); 0
+    let dst = opnd W64 dst in
+    fun cpu -> wr cpu W64 dst (pop64 cpu); 0
   | Call (Abs a) ->
     fun cpu ->
       push64 cpu (Int64.of_int cpu.rip);
       cpu.rip <- a; 0
   | CallInd op ->
-    let rd = rd_operand W64 op in
+    let op = opnd W64 op in
     fun cpu ->
-      let tgt = Int64.to_int (rd cpu) land addr_mask in
+      let tgt = Int64.to_int (rd cpu W64 op) land addr_mask in
       push64 cpu (Int64.of_int cpu.rip);
       cpu.rip <- tgt; 0
   | Ret -> (fun cpu -> cpu.rip <- Int64.to_int (pop64 cpu) land addr_mask; 0)
   | Jmp (Abs a) -> (fun cpu -> cpu.rip <- a; 0)
   | JmpInd op ->
-    let rd = rd_operand W64 op in
-    fun cpu -> cpu.rip <- Int64.to_int (rd cpu) land addr_mask; 0
+    let op = opnd W64 op in
+    fun cpu -> cpu.rip <- Int64.to_int (rd cpu W64 op) land addr_mask; 0
   | Jcc (cc, Abs a) ->
     let taken = c.branch_taken and not_taken = c.branch_not_taken in
     fun cpu ->
       if cond cpu cc then begin cpu.rip <- a; taken end
       else not_taken
   | Cmov (cc, w, dst, src) ->
-    let rd = rd_operand w src in
-    (match w with
-     | W32 ->
-       fun cpu ->
-         let v = rd cpu in
-         if cond cpu cc then set_reg cpu W32 dst v
-         else set_reg cpu W32 dst (get_reg cpu W32 dst);
-         0
-     | _ ->
-       fun cpu ->
-         let v = rd cpu in
-         if cond cpu cc then set_reg cpu w dst v;
-         0)
-  | Setcc (cc, dst) ->
-    let wr = wr_operand W8 dst in
-    fun cpu -> wr cpu (if cond cpu cc then 1L else 0L); 0
-  | Imul2 (w, dst, src) ->
-    (* flags (SF/ZF/PF and the overflow-derived CF/OF) are recorded
-       lazily: [FlImul] materialization recomputes the product from the
-       sign-extended operands, so skipping set_szp + the overflow check
-       here is unobservable *)
-    let rd = rd_operand w src in
+    let d = Reg.index dst and src = opnd w src in
     fun cpu ->
-      let a = sext w (get_reg cpu w dst) in
-      let b = sext w (rd cpu) in
-      let r = trunc w (Int64.mul a b) in
-      Bigarray.Array1.unsafe_set cpu.flbuf 0 a;
-      Bigarray.Array1.unsafe_set cpu.flbuf 1 b;
-      cpu.fl_op <- FlImul; cpu.fl_w <- w;
-      cpu.fl_records <- cpu.fl_records + 1;
-      set_reg cpu w dst r; 0
-  | Imul3 (W64, dst, src, imm) ->
-    let rd = rd_operand W64 src in
-    let di = Reg.index dst in
-    fun cpu ->
-      let a = rd cpu in
-      Bigarray.Array1.unsafe_set cpu.flbuf 0 a;
-      Bigarray.Array1.unsafe_set cpu.flbuf 1 imm;
-      cpu.fl_op <- FlImul; cpu.fl_w <- W64;
-      cpu.fl_records <- cpu.fl_records + 1;
-      A1.unsafe_set cpu.regs di (Int64.mul a imm); 0
-  | Imul3 (w, dst, src, imm) ->
-    let rd = rd_operand w src in
-    let b = sext w (trunc w imm) in
-    fun cpu ->
-      let a = sext w (rd cpu) in
-      let r = trunc w (Int64.mul a b) in
-      Bigarray.Array1.unsafe_set cpu.flbuf 0 a;
-      Bigarray.Array1.unsafe_set cpu.flbuf 1 b;
-      cpu.fl_op <- FlImul; cpu.fl_w <- w;
-      cpu.fl_records <- cpu.fl_records + 1;
-      set_reg cpu w dst r; 0
-  | SseMov (Movsd, Xr d, Xr s) ->
-    fun cpu -> cpu.xlo.{d} <- cpu.xlo.{s}; 0
-  | SseMov (Movsd, Xr d, Xm m) ->
-    let af = addr_of m in
-    fun cpu ->
-      let a = af cpu in
-      let off = a land 0xFFF in
-      A1.unsafe_set cpu.xlo d
-        (if off <= 0xFF8 then
-           Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off
-         else Mem.read_u64 cpu.mem a);
-      A1.unsafe_set cpu.xhi d 0L; 0
-  | SseMov (Movsd, Xm m, Xr s) ->
-    let af = addr_of m in
-    fun cpu ->
-      let a = af cpu in
-      let off = a land 0xFFF in
-      let v = A1.unsafe_get cpu.xlo s in
-      if off <= 0xFF8 then
-        Bytes.set_int64_le (Mem.page cpu.mem (a lsr 12)) off v
-      else Mem.write_u64 cpu.mem a v;
+      (* the load happens regardless of the condition *)
+      let v = rd cpu w src in
+      if cond cpu cc then wr_gpr cpu w d v
+      else if w = W32 then wr_gpr cpu W32 d (gpr cpu d);
       0
+  | Setcc (cc, dst) ->
+    let dst = opnd W8 dst in
+    fun cpu -> wr cpu W8 dst (if cond cpu cc then 1L else 0L); 0
+  | SseMov (Movsd, Xr d, Xr s) -> (fun cpu -> set_xlo cpu d (xlo cpu s); 0)
+  | SseMov (Movsd, Xr d, Xm ({ seg = None; _ } as m)) ->
+    let b, i, s, dp = mem_ea m in
+    fun cpu ->
+      set_xlo cpu d (load64 cpu (ea cpu b i s dp));
+      set_xhi cpu d 0L; 0
+  | SseMov (Movsd, Xm ({ seg = None; _ } as m), Xr s) ->
+    let b, i, sc, dp = mem_ea m in
+    fun cpu -> store64 cpu (ea cpu b i sc dp) (xlo cpu s); 0
   | SseMov (Movq, Xr d, Xr s) ->
-    fun cpu ->
-      cpu.xlo.{d} <- cpu.xlo.{s};
-      cpu.xhi.{d} <- 0L; 0
+    fun cpu -> set_xlo cpu d (xlo cpu s); set_xhi cpu d 0L; 0
   | SseMov ((Movaps | Movapd | Movdqa), Xr d, Xr s) ->
+    fun cpu -> set_xlo cpu d (xlo cpu s); set_xhi cpu d (xhi cpu s); 0
+  | SseMov ((Movaps | Movapd | Movdqa), Xr d, Xm ({ seg = None; _ } as m)) ->
+    let b, i, s, dp = mem_ea m in
     fun cpu ->
-      cpu.xlo.{d} <- cpu.xlo.{s};
-      cpu.xhi.{d} <- cpu.xhi.{s}; 0
-  | SseMov ((Movaps | Movapd | Movdqa), Xr d, Xm m) ->
-    let af = addr_of m in
-    fun cpu ->
-      let a = af cpu in
+      let a = ea cpu b i s dp in
       if not (is_16aligned a) then err "misaligned movaps load";
-      cpu.xlo.{d} <- Mem.read_u64 cpu.mem a;
-      cpu.xhi.{d} <- Mem.read_u64 cpu.mem (a + 8); 0
-  | SseMov ((Movaps | Movapd | Movdqa), Xm m, Xr s) ->
-    let af = addr_of m in
+      set_xlo cpu d (load64 cpu a);
+      set_xhi cpu d (load64 cpu (a + 8)); 0
+  | SseMov ((Movaps | Movapd | Movdqa), Xm ({ seg = None; _ } as m), Xr s) ->
+    let b, i, sc, dp = mem_ea m in
     fun cpu ->
-      let a = af cpu in
+      let a = ea cpu b i sc dp in
       if not (is_16aligned a) then err "misaligned movaps store";
-      Mem.write_u64 cpu.mem a cpu.xlo.{s};
-      Mem.write_u64 cpu.mem (a + 8) cpu.xhi.{s}; 0
-  | SseMov ((Movups | Movupd | Movdqu), Xr d, Xm m) ->
-    let up = c.unaligned_vec and af = addr_of m in
+      store64 cpu a (xlo cpu s);
+      store64 cpu (a + 8) (xhi cpu s); 0
+  | SseMov ((Movups | Movupd | Movdqu), Xr d, Xm ({ seg = None; _ } as m)) ->
+    let b, i, s, dp = mem_ea m in
     fun cpu ->
-      let a = af cpu in
-      cpu.xlo.{d} <- Mem.read_u64 cpu.mem a;
-      cpu.xhi.{d} <- Mem.read_u64 cpu.mem (a + 8);
+      let a = ea cpu b i s dp in
+      set_xlo cpu d (load64 cpu a);
+      set_xhi cpu d (load64 cpu (a + 8));
       if is_16aligned a then 0 else up
-  | SseMov ((Movups | Movupd | Movdqu), Xm m, Xr s) ->
-    let up = c.unaligned_vec and af = addr_of m in
+  | SseMov ((Movups | Movupd | Movdqu), Xm ({ seg = None; _ } as m), Xr s) ->
+    let b, i, sc, dp = mem_ea m in
     fun cpu ->
-      let a = af cpu in
-      Mem.write_u64 cpu.mem a cpu.xlo.{s};
-      Mem.write_u64 cpu.mem (a + 8) cpu.xhi.{s};
+      let a = ea cpu b i sc dp in
+      store64 cpu a (xlo cpu s);
+      store64 cpu (a + 8) (xhi cpu s);
       if is_16aligned a then 0 else up
   | MovqXR (x, r) ->
     let r = Reg.index r in
-    fun cpu ->
-      cpu.xlo.{x} <- cpu.regs.{r};
-      cpu.xhi.{x} <- 0L; 0
+    fun cpu -> set_xlo cpu x (gpr cpu r); set_xhi cpu x 0L; 0
   | MovqRX (r, x) ->
     let r = Reg.index r in
-    fun cpu -> cpu.regs.{r} <- cpu.xlo.{x}; 0
-  | SseArith ((FAdd | FSub | FMul | FDiv) as op, Sd, dst, src) ->
-    (* per-op closures with the float work written out inline: the whole
-       bits->float->op->bits chain stays unboxed (calling through the
-       [fp_fun] closure, or through the [f64]/[b64] wrappers, would box
-       both operands and the result on every scalar FP instruction) *)
-    (match src with
-     | Xr s ->
-       (match op with
-        | FAdd ->
-          fun cpu ->
-            A1.unsafe_set cpu.xlo dst
-              (Int64.bits_of_float
-                 (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
-                  +. Int64.float_of_bits (A1.unsafe_get cpu.xlo s)));
-            0
-        | FSub ->
-          fun cpu ->
-            A1.unsafe_set cpu.xlo dst
-              (Int64.bits_of_float
-                 (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
-                  -. Int64.float_of_bits (A1.unsafe_get cpu.xlo s)));
-            0
-        | FMul ->
-          fun cpu ->
-            A1.unsafe_set cpu.xlo dst
-              (Int64.bits_of_float
-                 (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
-                  *. Int64.float_of_bits (A1.unsafe_get cpu.xlo s)));
-            0
-        | _ ->
-          fun cpu ->
-            A1.unsafe_set cpu.xlo dst
-              (Int64.bits_of_float
-                 (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
-                  /. Int64.float_of_bits (A1.unsafe_get cpu.xlo s)));
-            0)
-     | Xm m ->
-       let af = addr_of m in
-       (match op with
-        | FAdd ->
-          fun cpu ->
-            A1.unsafe_set cpu.xlo dst
-              (Int64.bits_of_float
-                 (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
-                  +. Int64.float_of_bits (let a = af cpu in let off = a land 0xFFF in if off <= 0xFF8 then Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off else Mem.read_u64 cpu.mem a)));
-            0
-        | FSub ->
-          fun cpu ->
-            A1.unsafe_set cpu.xlo dst
-              (Int64.bits_of_float
-                 (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
-                  -. Int64.float_of_bits (let a = af cpu in let off = a land 0xFFF in if off <= 0xFF8 then Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off else Mem.read_u64 cpu.mem a)));
-            0
-        | FMul ->
-          fun cpu ->
-            A1.unsafe_set cpu.xlo dst
-              (Int64.bits_of_float
-                 (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
-                  *. Int64.float_of_bits (let a = af cpu in let off = a land 0xFFF in if off <= 0xFF8 then Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off else Mem.read_u64 cpu.mem a)));
-            0
-        | _ ->
-          fun cpu ->
-            A1.unsafe_set cpu.xlo dst
-              (Int64.bits_of_float
-                 (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
-                  /. Int64.float_of_bits (let a = af cpu in let off = a land 0xFFF in if off <= 0xFF8 then Bytes.get_int64_le (Mem.page cpu.mem (a lsr 12)) off else Mem.read_u64 cpu.mem a)));
-            0))
-  | SseArith (op, Sd, dst, src) ->
-    let f = fp_fun op in
-    (match src with
-     | Xr s ->
-       fun cpu ->
-         cpu.xlo.{dst} <- b64 (f (f64 cpu.xlo.{dst}) (f64 cpu.xlo.{s})); 0
-     | Xm m ->
-       let af = addr_of m in
-       fun cpu ->
-         let b = f64 (Mem.read_u64 cpu.mem (af cpu)) in
-         cpu.xlo.{dst} <- b64 (f (f64 cpu.xlo.{dst}) b); 0)
-  | SseArith ((FAdd | FSub | FMul | FDiv) as op, Pd, dst, Xr s) ->
-    (* register source: no alignment penalty possible; per-op closures
-       keep both lanes' float chains unboxed (see the Sd arms) *)
+    fun cpu -> set_gpr cpu r (xlo cpu x); 0
+  | SseArith (op, Sd, x, Xr s) ->
+    (* per-op closures keep the bits->float->op->bits chain a straight
+       line (a runtime dispatch on [op] is left for the rare ops) *)
     (match op with
-     | FAdd ->
-       fun cpu ->
-         A1.unsafe_set cpu.xlo dst
-           (Int64.bits_of_float
-              (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
-               +. Int64.float_of_bits (A1.unsafe_get cpu.xlo s)));
-         A1.unsafe_set cpu.xhi dst
-           (Int64.bits_of_float
-              (Int64.float_of_bits (A1.unsafe_get cpu.xhi dst)
-               +. Int64.float_of_bits (A1.unsafe_get cpu.xhi s)));
-         0
-     | FSub ->
-       fun cpu ->
-         A1.unsafe_set cpu.xlo dst
-           (Int64.bits_of_float
-              (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
-               -. Int64.float_of_bits (A1.unsafe_get cpu.xlo s)));
-         A1.unsafe_set cpu.xhi dst
-           (Int64.bits_of_float
-              (Int64.float_of_bits (A1.unsafe_get cpu.xhi dst)
-               -. Int64.float_of_bits (A1.unsafe_get cpu.xhi s)));
-         0
-     | FMul ->
-       fun cpu ->
-         A1.unsafe_set cpu.xlo dst
-           (Int64.bits_of_float
-              (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
-               *. Int64.float_of_bits (A1.unsafe_get cpu.xlo s)));
-         A1.unsafe_set cpu.xhi dst
-           (Int64.bits_of_float
-              (Int64.float_of_bits (A1.unsafe_get cpu.xhi dst)
-               *. Int64.float_of_bits (A1.unsafe_get cpu.xhi s)));
-         0
-     | _ ->
-       fun cpu ->
-         A1.unsafe_set cpu.xlo dst
-           (Int64.bits_of_float
-              (Int64.float_of_bits (A1.unsafe_get cpu.xlo dst)
-               /. Int64.float_of_bits (A1.unsafe_get cpu.xlo s)));
-         A1.unsafe_set cpu.xhi dst
-           (Int64.bits_of_float
-              (Int64.float_of_bits (A1.unsafe_get cpu.xhi dst)
-               /. Int64.float_of_bits (A1.unsafe_get cpu.xhi s)));
-         0)
-  | SseArith (op, Pd, dst, (Xr _ as src)) ->
-    let f = fp_fun op in
-    fun cpu ->
-      let slo, shi = xop_load128 cpu src in
-      cpu.xlo.{dst} <- b64 (f (f64 cpu.xlo.{dst}) (f64 slo));
-      cpu.xhi.{dst} <- b64 (f (f64 cpu.xhi.{dst}) (f64 shi));
-      0
-  | SseLogic (op, dst, Xr s) ->
-    (* per-op closures: calling through an Int64.logxor alias would go
-       via caml_apply2 on every execution *)
+     | FAdd -> fun cpu -> set_xlo cpu x (fp_bits FAdd (xlo cpu x) (xlo cpu s)); 0
+     | FSub -> fun cpu -> set_xlo cpu x (fp_bits FSub (xlo cpu x) (xlo cpu s)); 0
+     | FMul -> fun cpu -> set_xlo cpu x (fp_bits FMul (xlo cpu x) (xlo cpu s)); 0
+     | FDiv -> fun cpu -> set_xlo cpu x (fp_bits FDiv (xlo cpu x) (xlo cpu s)); 0
+     | _ -> fun cpu -> set_xlo cpu x (fp_bits op (xlo cpu x) (xlo cpu s)); 0)
+  | SseArith (op, Sd, x, Xm ({ seg = None; _ } as m)) ->
+    let b, i, s, d = mem_ea m in
+    (match op with
+     | FAdd -> fun cpu -> sd_mem cpu FAdd x b i s d; 0
+     | FSub -> fun cpu -> sd_mem cpu FSub x b i s d; 0
+     | FMul -> fun cpu -> sd_mem cpu FMul x b i s d; 0
+     | FDiv -> fun cpu -> sd_mem cpu FDiv x b i s d; 0
+     | _ -> fun cpu -> sd_mem cpu op x b i s d; 0)
+  | SseArith (op, Pd, x, Xr s) ->
+    (* register source: no alignment penalty possible *)
+    (match op with
+     | FAdd -> fun cpu -> pd cpu FAdd x (xlo cpu s) (xhi cpu s); 0
+     | FSub -> fun cpu -> pd cpu FSub x (xlo cpu s) (xhi cpu s); 0
+     | FMul -> fun cpu -> pd cpu FMul x (xlo cpu s) (xhi cpu s); 0
+     | FDiv -> fun cpu -> pd cpu FDiv x (xlo cpu s) (xhi cpu s); 0
+     | _ -> fun cpu -> pd cpu op x (xlo cpu s) (xhi cpu s); 0)
+  | SseArith (op, Pd, x, Xm ({ seg = None; _ } as m)) ->
+    let b, i, s, d = mem_ea m in
+    (match op with
+     | FAdd -> fun cpu -> pd_mem cpu FAdd x b i s d up
+     | FSub -> fun cpu -> pd_mem cpu FSub x b i s d up
+     | FMul -> fun cpu -> pd_mem cpu FMul x b i s d up
+     | FDiv -> fun cpu -> pd_mem cpu FDiv x b i s d up
+     | _ -> fun cpu -> pd_mem cpu op x b i s d up)
+  | SseLogic (op, x, Xr s) ->
     (match op with
      | Pxor | Xorps | Xorpd ->
        fun cpu ->
-         A1.unsafe_set cpu.xlo dst
-           (Int64.logxor (A1.unsafe_get cpu.xlo dst) (A1.unsafe_get cpu.xlo s));
-         A1.unsafe_set cpu.xhi dst
-           (Int64.logxor (A1.unsafe_get cpu.xhi dst) (A1.unsafe_get cpu.xhi s));
-         0
+         set_xlo cpu x (Int64.logxor (xlo cpu x) (xlo cpu s));
+         set_xhi cpu x (Int64.logxor (xhi cpu x) (xhi cpu s)); 0
      | Pand | Andps | Andpd ->
        fun cpu ->
-         A1.unsafe_set cpu.xlo dst
-           (Int64.logand (A1.unsafe_get cpu.xlo dst) (A1.unsafe_get cpu.xlo s));
-         A1.unsafe_set cpu.xhi dst
-           (Int64.logand (A1.unsafe_get cpu.xhi dst) (A1.unsafe_get cpu.xhi s));
-         0
+         set_xlo cpu x (Int64.logand (xlo cpu x) (xlo cpu s));
+         set_xhi cpu x (Int64.logand (xhi cpu x) (xhi cpu s)); 0
      | Por ->
        fun cpu ->
-         A1.unsafe_set cpu.xlo dst
-           (Int64.logor (A1.unsafe_get cpu.xlo dst) (A1.unsafe_get cpu.xlo s));
-         A1.unsafe_set cpu.xhi dst
-           (Int64.logor (A1.unsafe_get cpu.xhi dst) (A1.unsafe_get cpu.xhi s));
-         0)
+         set_xlo cpu x (Int64.logor (xlo cpu x) (xlo cpu s));
+         set_xhi cpu x (Int64.logor (xhi cpu x) (xhi cpu s)); 0)
+  | Unpcklpd (x, Xr s) -> (fun cpu -> set_xhi cpu x (xlo cpu s); 0)
+  | Unpcklpd (x, Xm ({ seg = None; _ } as m)) ->
+    let b, i, s, dp = mem_ea m in
+    fun cpu -> set_xhi cpu x (load64 cpu (ea cpu b i s dp)); 0
   | Nop _ -> (fun _ -> 0)
   | _ -> (fun cpu -> exec cpu i)
 
@@ -1733,44 +1525,12 @@ let decode_prefix cpu entry ~max =
   in
   go entry 0 [] entry 0 []
 
-(* -------- mega-op fusion -------- *)
-
 (* Raised by a trace side-exit: the current slot ran to completion,
    set rip to the fall-through target and stashed its branch penalty
    in [cpu.pen]; the block loop converts this into an exact early
    block completion.  Constant exception: raising it allocates
    nothing. *)
 exception Trace_exit
-
-(* Fusible instructions: their translated closures can never raise, so
-   a fused slot either runs completely or not at all and the engine's
-   exact executed-prefix accounting survives.  (Memory never faults —
-   {!Mem} is demand-paged — so the raising forms are only traps,
-   division, aligned-move checks and unresolved labels.) *)
-let fusible (i : insn) =
-  match i with
-  | Mov _ | Movabs _ | Movzx _ | Movsx _ | Lea _ -> true
-  | Alu ((Add | Sub | Cmp | And | Or | Xor), _, _, _) -> true
-  | Test _ | Shift _ -> true
-  | Unop ((Inc | Dec | Not), _, _) -> true
-  | Push _ | Pop _ -> true
-  | Setcc _ | Cmov _ -> true
-  | SseMov ((Movsd | Movss | Movq | Movups | Movupd | Movdqu), _, _) -> true
-  | SseMov ((Movaps | Movapd | Movdqa), Xr _, Xr _) -> true
-  | Imul2 _ | Imul3 _ -> true
-  | MovqXR _ | MovqRX _ -> true
-  | SseArith (_, (Sd | Ss), _, _) -> true
-  | SseLogic _ -> true
-  | Nop _ -> true
-  | _ -> false
-
-(* control flow allowed as the second element of a fused pair (the
-   pair closure advances rip before running it, so a branch sees the
-   same rip as its unfused translation) *)
-let fusible_tail (i : insn) =
-  match i with
-  | Jcc (_, Abs _) | Jmp (Abs _) | Ret -> true
-  | _ -> fusible i
 
 (* -------- block-local flag liveness --------
 
@@ -1795,8 +1555,26 @@ let flags_read = function
   | Unop _ | Shift _ -> true
   | _ -> false
 
-let never_raises i =
-  match i with Jcc _ -> true | _ -> fusible i
+(* Instructions whose translated closures can never raise.  Memory
+   never faults — {!Mem} is demand-paged — so the raising forms are
+   only traps, division, aligned-move checks and unresolved labels. *)
+let never_raises (i : insn) =
+  match i with
+  | Jcc _ -> true
+  | Mov _ | Movabs _ | Movzx _ | Movsx _ | Lea _ -> true
+  | Alu ((Add | Sub | Cmp | And | Or | Xor), _, _, _) -> true
+  | Test _ | Shift _ -> true
+  | Unop ((Inc | Dec | Not), _, _) -> true
+  | Push _ | Pop _ -> true
+  | Setcc _ | Cmov _ -> true
+  | SseMov ((Movsd | Movss | Movq | Movups | Movupd | Movdqu), _, _) -> true
+  | SseMov ((Movaps | Movapd | Movdqa), Xr _, Xr _) -> true
+  | Imul2 _ | Imul3 _ -> true
+  | MovqXR _ | MovqRX _ -> true
+  | SseArith (_, (Sd | Ss), _, _) -> true
+  | SseLogic _ -> true
+  | Nop _ -> true
+  | _ -> false
 
 let dead_flag_writes (insns : insn array) =
   let n = Array.length insns in
@@ -1812,143 +1590,61 @@ let dead_flag_writes (insns : insn array) =
   done;
   dead
 
-let mentions_mem (i : insn) =
-  let seen = ref false in
-  ignore (map_mem (fun m -> seen := true; m) i);
-  !seen
+(* -------- cmp/test+jcc predicate pairs -------- *)
 
-let is_store = function
-  | Mov (_, OMem _, _) | SseMov (_, Xm _, Xr _) | Setcc (_, OMem _)
-  | Push _ -> true
-  | _ -> false
+(* The one fusion the engine performs: a cmp or test immediately
+   followed by a direct jcc shares one slot, whose closure computes the
+   comparison, records the lazy flags and branches on the predicate
+   evaluated straight off the operands, so the common path never
+   materializes flags.  In a trace ([side_exit]) the fall-through
+   leaves by raising {!Trace_exit}; the taken edge stays in the trace
+   (the next slot overwrites the rip written here). *)
+let[@inline] branch cpu holds tgt ft side_exit taken not_taken =
+  if holds then begin cpu.rip <- tgt; taken end
+  else begin
+    cpu.rip <- ft;
+    if side_exit then begin cpu.pen <- not_taken; raise Trace_exit end;
+    not_taken
+  end
 
-(* per-pattern fusion counters (pairs created at translation time) *)
-let count_fusion cpu i1 i2 =
-  match (i1, i2) with
-  | (Alu (Cmp, _, _, _) | Test _), Jcc _ ->
-    cpu.fu_cmpjcc <- cpu.fu_cmpjcc + 1;
-    Tel.incr_c c_fuse_cmpjcc
-  | (Mov _ | Movabs _), (Alu _ | Test _) ->
-    cpu.fu_mov_alu <- cpu.fu_mov_alu + 1;
-    Tel.incr_c c_fuse_mov_alu
-  | Lea _, i2 when mentions_mem i2 ->
-    cpu.fu_lea_mem <- cpu.fu_lea_mem + 1;
-    Tel.incr_c c_fuse_lea_mem
-  | (Setcc _, _ | _, Setcc _) ->
-    cpu.fu_spill <- cpu.fu_spill + 1;
-    Tel.incr_c c_fuse_spill
-  | i1, i2 when is_store i1 && is_store i2 ->
-    cpu.fu_spill <- cpu.fu_spill + 1;
-    Tel.incr_c c_fuse_spill
-  | _ ->
-    cpu.fu_other <- cpu.fu_other + 1;
-    Tel.incr_c c_fuse_other
+let[@inline] cmp_branch cpu cc w m sh a b tgt ft side_exit taken not_taken =
+  let r = Int64.logand (Int64.sub a b) m in
+  record cpu FlSub w a b r;
+  branch cpu (sub_holds cc sh a b r) tgt ft side_exit taken not_taken
 
-(* Branch predicates evaluated directly on a comparison's operands:
-   the textbook identities between cmp a,b / test a,b flags and the
-   condition codes, specialized per width at translation time.  Used
-   by fused cmp/test+jcc so the common path records the lazy flags but
-   never materializes them. *)
-let sub_pred w cc : int64 -> int64 -> int64 -> bool =
-  match cc with
-  | E -> fun _ _ r -> r = 0L
-  | NE -> fun _ _ r -> r <> 0L
-  | B -> fun a b _ -> Int64.unsigned_compare a b < 0
-  | AE -> fun a b _ -> Int64.unsigned_compare a b >= 0
-  | BE -> fun a b _ -> Int64.unsigned_compare a b <= 0
-  | A -> fun a b _ -> Int64.unsigned_compare a b > 0
-  | S -> fun _ _ r -> msb w r
-  | NS -> fun _ _ r -> not (msb w r)
-  | L -> fun a b _ -> sext w a < sext w b
-  | GE -> fun a b _ -> sext w a >= sext w b
-  | LE -> fun a b _ -> sext w a <= sext w b
-  | G -> fun a b _ -> sext w a > sext w b
-  | O ->
-    fun a b r ->
-      msb w (Int64.logand (Int64.logxor a b) (Int64.logxor a r))
-  | NO ->
-    fun a b r ->
-      not (msb w (Int64.logand (Int64.logxor a b) (Int64.logxor a r)))
-  | P -> fun _ _ r -> parity_even r
-  | NP -> fun _ _ r -> not (parity_even r)
+let[@inline] test_branch cpu cc w sh r tgt ft side_exit taken not_taken =
+  record_logic cpu w r;
+  branch cpu (logic_holds cc sh r) tgt ft side_exit taken not_taken
 
-let logic_pred w cc : int64 -> bool =
-  match cc with
-  | E | BE -> fun r -> r = 0L
-  | NE | A -> fun r -> r <> 0L
-  | B | O -> fun _ -> false
-  | AE | NO -> fun _ -> true
-  | S | L -> fun r -> msb w r
-  | NS | GE -> fun r -> not (msb w r)
-  | LE -> fun r -> r = 0L || msb w r
-  | G -> fun r -> r <> 0L && not (msb w r)
-  | P -> parity_even
-  | NP -> fun r -> not (parity_even r)
-
-(* fused cmp+jcc / test+jcc: one closure computes the comparison,
-   records the lazy flags and branches on the direct predicate.  The
-   [side_exit] variant is the trace backedge form: staying in the
-   trace is a plain return, leaving it raises {!Trace_exit}. *)
-let fuse_cmp_jcc (c : Cost.t) w rd_a rd_b cc ~tgt ~ft ~side_exit : op_fn =
-  let pred = sub_pred w cc in
+let pair_jcc (c : Cost.t) ~next (i : insn) cc ~tgt ~ft ~side_exit : op_fn =
   let taken = c.branch_taken and not_taken = c.branch_not_taken in
-  if side_exit then
-    fun cpu ->
-      let a = rd_a cpu in
-      let b = rd_b cpu in
-      let r = trunc w (Int64.sub a b) in
-      cpu.fl_op <- FlSub; cpu.fl_w <- w;
-      Bigarray.Array1.unsafe_set cpu.flbuf 0 a; Bigarray.Array1.unsafe_set cpu.flbuf 1 b; Bigarray.Array1.unsafe_set cpu.flbuf 2 r;
-      cpu.fl_records <- cpu.fl_records + 1;
-      if pred a b r then taken
-      else begin
-        cpu.rip <- ft;
-        cpu.pen <- not_taken;
-        raise Trace_exit
-      end
-  else
-    fun cpu ->
-      let a = rd_a cpu in
-      let b = rd_b cpu in
-      let r = trunc w (Int64.sub a b) in
-      cpu.fl_op <- FlSub; cpu.fl_w <- w;
-      Bigarray.Array1.unsafe_set cpu.flbuf 0 a; Bigarray.Array1.unsafe_set cpu.flbuf 1 b; Bigarray.Array1.unsafe_set cpu.flbuf 2 r;
-      cpu.fl_records <- cpu.fl_records + 1;
-      if pred a b r then begin cpu.rip <- tgt; taken end
-      else begin cpu.rip <- ft; not_taken end
+  match i with
+  | Alu (Cmp, w, a, b) ->
+    let m = wmask w and sh = wshift w in
+    (match (opnd ~next w a, opnd ~next w b) with
+     | Ri (ra, ma, ka), Ri (rb, mb, kb) ->
+       fun cpu ->
+         cmp_branch cpu cc w m sh (ri cpu ra ma ka) (ri cpu rb mb kb) tgt ft
+           side_exit taken not_taken
+     | a, b ->
+       fun cpu ->
+         cmp_branch cpu cc w m sh (rd cpu w a) (rd cpu w b) tgt ft side_exit
+           taken not_taken)
+  | Test (w, a, b) ->
+    let sh = wshift w in
+    (match (opnd ~next w a, opnd ~next w b) with
+     | Ri (ra, ma, ka), Ri (rb, mb, kb) ->
+       fun cpu ->
+         test_branch cpu cc w sh
+           (Int64.logand (ri cpu ra ma ka) (ri cpu rb mb kb))
+           tgt ft side_exit taken not_taken
+     | a, b ->
+       fun cpu ->
+         test_branch cpu cc w sh (Int64.logand (rd cpu w a) (rd cpu w b))
+           tgt ft side_exit taken not_taken)
+  | _ -> invalid_arg "Cpu.pair_jcc"
 
-let fuse_test_jcc (c : Cost.t) w rd_a rd_b cc ~tgt ~ft ~side_exit : op_fn =
-  let pred = logic_pred w cc in
-  let taken = c.branch_taken and not_taken = c.branch_not_taken in
-  if side_exit then
-    fun cpu ->
-      let r = Int64.logand (rd_a cpu) (rd_b cpu) in
-      cpu.fl_op <- FlLogic; cpu.fl_w <- w; Bigarray.Array1.unsafe_set cpu.flbuf 2 (r);
-      cpu.fl_records <- cpu.fl_records + 1;
-      if pred r then taken
-      else begin
-        cpu.rip <- ft;
-        cpu.pen <- not_taken;
-        raise Trace_exit
-      end
-  else
-    fun cpu ->
-      let r = Int64.logand (rd_a cpu) (rd_b cpu) in
-      cpu.fl_op <- FlLogic; cpu.fl_w <- w; Bigarray.Array1.unsafe_set cpu.flbuf 2 (r);
-      cpu.fl_records <- cpu.fl_records + 1;
-      if pred r then begin cpu.rip <- tgt; taken end
-      else begin cpu.rip <- ft; not_taken end
-
-(* generic pair fusion: run the first closure, advance rip past the
-   second instruction (what the per-slot loop would have done), run
-   the second *)
-let fuse_pair (f1 : op_fn) rip2 (f2 : op_fn) : op_fn =
- fun cpu ->
-  let p = f1 cpu in
-  cpu.rip <- rip2;
-  p + f2 cpu
-
-(* unfused trace backedge: evaluate the condition (materializing if
+(* unpaired trace backedge: evaluate the condition (materializing if
    needed) and side-exit on fall-through *)
 let side_exit_jcc (c : Cost.t) cc ~ft : op_fn =
   let taken = c.branch_taken and not_taken = c.branch_not_taken in
@@ -1960,85 +1656,30 @@ let side_exit_jcc (c : Cost.t) cc ~ft : op_fn =
       raise Trace_exit
     end
 
-(* Greedy left-to-right pairing of a block's instructions into fused
-   execution slots.  [side_exit_at k] marks instruction indices whose
-   (backedge Jcc) translation must be the side-exit variant — those
-   are never swallowed by a generic pair, only by the specialized
-   cmp/test+jcc fusion which has its own side-exit form. *)
-(* cap on instructions folded into one fused mega-op closure *)
-let max_fuse_run = 8
-
+(* Group a block's instructions into execution slots: one per
+   instruction, except that each cmp/test+jcc pair shares a slot.
+   [side_exit_at k] marks instruction indices whose (backedge Jcc)
+   translation must be the side-exit variant. *)
 let build_slots cpu ~side_exit_at (insns : insn array) (rips : int array)
     (costs : int array) (ops : op_fn array) =
-  let c = cpu.cost in
   let n = Array.length insns in
-  (* a cmp/test immediately followed by a direct jcc is reserved for
-     predicate fusion (which evaluates the condition straight off the
-     lazy record); a generic run must not swallow the cmp/test *)
-  let predpair_at i =
-    i + 1 < n
-    && (match (insns.(i), insns.(i + 1)) with
-        | (Alu (Cmp, _, _, _) | Test _), Jcc (_, Abs _) -> true
-        | _ -> false)
-  in
   let slots = ref [] in
   let k = ref 0 in
   while !k < n do
     let j = !k + 1 in
-    let fused =
-      if j >= n then None
-      else
-        match (insns.(!k), insns.(j)) with
-        | (Alu (Cmp, w, d, s) as i1), (Jcc (cc, Abs tgt) as i2) ->
-          count_fusion cpu i1 i2;
-          Some
-            ( fuse_cmp_jcc c w (rd_operand w d) (rd_operand w s) cc ~tgt
-                ~ft:rips.(j) ~side_exit:(side_exit_at j),
-              2, costs.(!k) + costs.(j) )
-        | (Test (w, d, s) as i1), (Jcc (cc, Abs tgt) as i2) ->
-          count_fusion cpu i1 i2;
-          Some
-            ( fuse_test_jcc c w (rd_operand w d) (rd_operand w s) cc ~tgt
-                ~ft:rips.(j) ~side_exit:(side_exit_at j),
-              2, costs.(!k) + costs.(j) )
-        | i1, _ when fusible i1 && not (side_exit_at j) ->
-          (* maximal-run mega-op: fold consecutive provably non-raising
-             insns (optionally ending in a direct branch) into one
-             nested closure, eliminating per-slot dispatch for the
-             interior *)
-          let e = ref j in
-          while
-            !e < n && !e - !k < max_fuse_run
-            && not (side_exit_at !e)
-            && fusible insns.(!e)
-            && not (predpair_at !e)
-          do incr e done;
-          if
-            !e < n && !e - !k < max_fuse_run
-            && not (side_exit_at !e)
-            && fusible_tail insns.(!e)
-            && not (fusible insns.(!e))
-          then incr e;
-          let len = !e - !k in
-          if len < 2 then None
-          else begin
-            let op = ref ops.(!k) and cost = ref costs.(!k) in
-            for i = !k + 1 to !e - 1 do
-              count_fusion cpu insns.(i - 1) insns.(i);
-              op := fuse_pair !op rips.(i) ops.(i);
-              cost := !cost + costs.(i)
-            done;
-            Some (!op, len, !cost)
-          end
-        | _ -> None
-    in
-    (match fused with
-     | Some (op, len, cost) ->
-       slots := (op, rips.(!k), cost, len) :: !slots;
-       k := !k + len
-     | None ->
-       slots := (ops.(!k), rips.(!k), costs.(!k), 1) :: !slots;
-       incr k)
+    match (if j < n then (insns.(!k), insns.(j)) else (Ret, Ret)) with
+    | ((Alu (Cmp, _, _, _) | Test _) as i), Jcc (cc, Abs tgt) ->
+      cpu.fu_cmpjcc <- cpu.fu_cmpjcc + 1;
+      Tel.incr_c c_fuse_cmpjcc;
+      let op =
+        pair_jcc cpu.cost ~next:rips.(!k) i cc ~tgt ~ft:rips.(j)
+          ~side_exit:(side_exit_at j)
+      in
+      slots := (op, rips.(!k), costs.(!k) + costs.(j), 2) :: !slots;
+      k := !k + 2
+    | _ ->
+      slots := (ops.(!k), rips.(!k), costs.(!k), 1) :: !slots;
+      incr k
   done;
   let arr = Array.of_list (List.rev !slots) in
   ( Array.map (fun (o, _, _, _) -> o) arr,
@@ -2064,7 +1705,9 @@ let build_block cpu entry : sblock =
   let costs = Cost.insn_costs cpu.cost insns in
   let dead = dead_flag_writes insns in
   let ops =
-    Array.mapi (fun k ins -> translate ~dead_flags:dead.(k) cpu.cost ins) insns
+    Array.mapi
+      (fun k ins -> translate ~dead_flags:dead.(k) ~next:rips.(k) cpu.cost ins)
+      insns
   in
   Array.iter
     (fun d ->
@@ -2217,7 +1860,7 @@ let exec_block_fast cpu (b : sblock) =
     Tel.incr_c c_sb_sidexit
   | e ->
     (* per-slot accounting for the prefix before the fault, exactly
-       as the single-step engine leaves it (a fused slot never
+       as the single-step engine leaves it (a cmp/test+jcc slot never
        raises, so the faulting slot is a single instruction) *)
     let static = ref 0 and ic = ref 0 in
     for j = 0 to !k - 1 do
@@ -2235,8 +1878,8 @@ let exec_block_fast cpu (b : sblock) =
    entry.  The per-insn sums equal the engine's cycle writeback
    exactly, including the executed prefix of a faulting block and the
    partial iterations of a side-exiting trace.  It runs over the
-   unfused per-instruction arrays so attribution stays per-address
-   even where the fast path executes fused slots. *)
+   per-instruction arrays so attribution stays per-address even where
+   the fast path executes a cmp/test+jcc pair as one slot. *)
 let exec_block_profiled cpu (b : sblock) =
   Tel.incr_c c_sb_exec;
   let ops = b.sb_ops and rips = b.sb_rips and costs = b.sb_costs in

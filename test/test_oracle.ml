@@ -253,11 +253,11 @@ let test_fuzz_smoke () =
   check Alcotest.bool "most cases ran" true
     (s.Driver.s_agreed > s.Driver.s_total / 2)
 
-(* same smoke, but weighted toward fusible adjacent pairs and tight
+(* same smoke, but weighted toward adjacent dependent pairs and tight
    backedge loops, restricted to the two emulator tiers: the loops
-   cross the trace-promotion threshold, so this exercises mega-op
-   fusion, unrolled traces with side exits and lazy-flag deferral
-   against the single-step ground truth *)
+   cross the trace-promotion threshold, so this exercises cmp/test+jcc
+   predicate pairs, unrolled traces with side exits and lazy-flag
+   deferral against the single-step ground truth *)
 let test_fuzz_smoke_fusion () =
   let cfg =
     { Driver.default_config with

@@ -630,8 +630,7 @@ let test_indirect_inline_cache () =
    the two engines must agree on everything including the cycle
    accounting (the inline cache is a host-side shortcut, never a
    semantic change), the cache must serve nearly every dispatch, and
-   the indirect-terminated block must never be fused away or promoted
-   into a trace (it has no static successor to extend into). *)
+   the indirect-terminated block must never be promoted into a trace (it has no static successor to extend into). *)
 let indirect_loop_items =
   [ I (Mov (W64, OReg Reg.RCX, OImm 64L));
     I (Mov (W64, OReg Reg.RSI, OImm 0L));
@@ -693,6 +692,64 @@ let test_trace_promotion () =
   check cbool "loop promoted to a trace" true (s.Cpu.traces_built >= 1);
   check cbool "loop exit took a side exit" true (s.Cpu.trace_side_exits >= 1)
 
+(* ---------- steady-state allocation ---------- *)
+
+(* Every translated closure computes its addresses, operands and flag
+   records itself, so a warm loop allocates nothing on the OCaml heap.
+   The loop below uses each form the translator specializes:
+   [b + i*8 + d] loads and stores (64- and 32-bit), lea with an index,
+   movsxd, imul3, add/cmp with register and immediate sources feeding
+   jcc, movsd loads/stores and addsd.  [Gc.minor_words] is
+   deterministic, so the bound is a hard gate against boxing an
+   [int64] on any of these paths. *)
+let alloc_loop_items =
+  let open Reg in
+  let at ?(disp = 0) () = mk_mem ~base:RSI ~index:(RCX, S8) ~disp () in
+  [ I (Mov (W64, OReg RCX, OImm 0L));
+    I (Mov (W64, OReg R12, OImm 0L));
+    L 0;
+    I (Mov (W64, OReg RAX, OMem (at ~disp:8 ())));
+    I (Mov (W64, OMem (at ~disp:16 ()), OReg RAX));
+    I (Mov (W32, OReg RDX, OMem (at ~disp:8 ())));
+    I (Mov (W32, OMem (at ~disp:24 ()), OReg RDX));
+    I (Lea (R8, at ~disp:8 ()));
+    I (Movsx (W64, R9, W32, OReg RDX));
+    I (Imul3 (W64, R10, OReg R9, 3L));
+    I (Alu (Add, W64, OReg R10, OReg R8));
+    I (Alu (Add, W64, OReg R11, OImm 5L));
+    I (SseMov (Movsd, Xr 0, Xm (at ())));
+    I (SseArith (FAdd, Sd, 0, Xr 1));
+    I (SseMov (Movsd, Xm (at ~disp:32 ()), Xr 0));
+    I (Alu (Cmp, W64, OReg RCX, OImm 1000L));
+    I (Jcc (AE, Lbl 1));
+    I (Alu (Sub, W64, OReg RDI, OImm 1L));
+    I (Alu (Cmp, W64, OReg RDI, OReg R12));
+    I (Jcc (NE, Lbl 0));
+    L 1;
+    I Ret ]
+
+let test_steady_state_allocation () =
+  let img = fresh () in
+  let cpu = img.Image.cpu in
+  let arr = Image.alloc_f64_array img (Array.init 8 float_of_int) in
+  let fn = Image.install_code img alloc_loop_items in
+  let run n =
+    ignore
+      (Image.call ~engine:Cpu.Superblocks img ~fn
+         ~args:[ Int64.of_int n; Int64.of_int arr ])
+  in
+  run 100;
+  let i0 = cpu.Cpu.icount in
+  let w0 = Gc.minor_words () in
+  run 100_000;
+  let words = Gc.minor_words () -. w0 in
+  let insns = cpu.Cpu.icount - i0 in
+  check cbool "ran the loop" true (insns > 1_500_000);
+  let per_insn = words /. float_of_int insns in
+  if per_insn >= 0.01 then
+    Alcotest.failf "%.0f minor words over %d insns (%.4f/insn, bound 0.01)"
+      words insns per_insn
+
 (* ---------- differential: superblock engine vs single-step ---------- *)
 
 (* Everything observable about a finished run: registers, flags, SSE
@@ -734,9 +791,16 @@ let observe ?(iters = 3L) engine (body : item list) : observation =
     o_icount = cpu.Cpu.icount;
     o_mem = Mem.read_bytes cpu.Cpu.mem arr 64 }
 
-(* straight-line body instructions that are safe inside the skeleton:
-   no traps, no control flow, rdi/rsi/rsp/rbp untouched *)
-let gen_body_insn : insn QCheck.Gen.t =
+(* Body chunks that are safe inside the skeleton: no traps, rdi/rsi/
+   rsp/rbp untouched, every memory access inside the 64-byte array.
+   Most chunks are one instruction.  Indexed accesses first load a
+   bounded index (0..3) into r12, which nothing else touches, so
+   [rsi + r12*s + d] stays in the array even for 16-byte forms.  A
+   compare may be followed by a jcc to the very next instruction: both
+   edges meet again, but the taken/not-taken cycle costs differ, so the
+   predicate the engines evaluate is observable (the placeholder label
+   is numbered by [number_labels]). *)
+let gen_body_insn : insn list QCheck.Gen.t =
   let open QCheck.Gen in
   let open Reg in
   let gpr = oneofl [ RAX; RCX; RDX; R8; R9; R10; R11 ] in
@@ -745,49 +809,108 @@ let gen_body_insn : insn QCheck.Gen.t =
   let disp = map (fun k -> 8 * k) (int_bound 7) in
   let xr = int_bound 3 in
   let cc = oneofl [ E; NE; B; AE; L; GE; LE; G; S; NS ] in
+  let any_cc =
+    oneofl [ O; NO; B; AE; E; NE; BE; A; S; NS; P; NP; L; GE; LE; G ]
+  in
+  let one g = map (fun i -> [ i ]) g in
+  (* [rsi + r12*s + d] with index*s + d + 16 <= 64 *)
+  let indexed (f : mem_addr -> insn) =
+    map3
+      (fun idx s k ->
+        [ Mov (W64, OReg R12, OImm (Int64.of_int idx));
+          f (mk_mem ~base:RSI ~index:(R12, s) ~disp:(4 * k) ()) ])
+      (int_bound 3) (oneofl [ S1; S2; S4; S8 ]) (int_bound 6)
+  in
+  let with_jcc cmp = map2 (fun c cc -> [ c; Jcc (cc, Lbl (-1)) ]) cmp any_cc in
   frequency
-    [ (4, map3 (fun o w' (a, b) -> Alu (o, w', OReg a, OReg b))
-         alu w (pair gpr gpr));
-      (2, map3 (fun o r i -> Alu (o, W64, OReg r, OImm (Int64.of_int i)))
-         alu gpr (int_bound 1000));
-      (2, map2 (fun w' (a, b) -> Mov (w', OReg a, OReg b)) w (pair gpr gpr));
-      (2, map2 (fun r i -> Mov (W64, OReg r, OImm (Int64.of_int i)))
-         gpr (int_bound 10000));
-      (2, map2 (fun r d -> Mov (W64, OReg r, OMem (mem_base ~disp:d RSI)))
-         gpr disp);
-      (2, map2 (fun r d -> Mov (W64, OMem (mem_base ~disp:d RSI), OReg r))
-         gpr disp);
-      (1, map2 (fun r d -> Lea (r, mem_base ~disp:d RSI)) gpr disp);
-      (1, map3 (fun u w' r -> Unop (u, w', OReg r))
-         (oneofl [ Neg; Not; Inc; Dec ]) w gpr);
-      (1, map2 (fun w' (a, b) -> Test (w', OReg a, OReg b)) w (pair gpr gpr));
-      (1, map2 (fun a b -> Imul2 (W64, a, OReg b)) gpr gpr);
-      (1, map3 (fun s r k -> Shift (s, W64, OReg r, ShImm k))
-         (oneofl [ Shl; Shr; Sar ]) gpr (int_range 0 31));
-      (1, map2 (fun c r -> Setcc (c, OReg r)) cc gpr);
-      (1, map3 (fun c a b -> Cmov (c, W64, a, OReg b)) cc gpr gpr);
-      (1, map3 (fun o a b -> SseArith (o, Sd, a, Xr b))
-         (oneofl [ FAdd; FSub; FMul ]) xr xr);
-      (1, map2 (fun a d -> SseArith (FAdd, Sd, a, Xm (mem_base ~disp:d RSI)))
-         xr disp);
-      (1, map2 (fun a d -> SseMov (Movsd, Xr a, Xm (mem_base ~disp:d RSI)))
-         xr disp);
-      (1, map2 (fun a d -> SseMov (Movsd, Xm (mem_base ~disp:d RSI), Xr a))
-         xr disp);
-      (1, map2 (fun a b -> SseLogic (Pxor, a, Xr b)) xr xr) ]
+    [ (4, one (map3 (fun o w' (a, b) -> Alu (o, w', OReg a, OReg b))
+         alu w (pair gpr gpr)));
+      (2, one (map3 (fun o r i -> Alu (o, W64, OReg r, OImm (Int64.of_int i)))
+         alu gpr (int_bound 1000)));
+      (2, one (map2 (fun w' (a, b) -> Mov (w', OReg a, OReg b)) w (pair gpr gpr)));
+      (2, one (map2 (fun r i -> Mov (W64, OReg r, OImm (Int64.of_int i)))
+         gpr (int_bound 10000)));
+      (2, one (map2 (fun r d -> Mov (W64, OReg r, OMem (mem_base ~disp:d RSI)))
+         gpr disp));
+      (2, one (map2 (fun r d -> Mov (W64, OMem (mem_base ~disp:d RSI), OReg r))
+         gpr disp));
+      (1, one (map2 (fun r d -> Lea (r, mem_base ~disp:d RSI)) gpr disp));
+      (1, one (map3 (fun u w' r -> Unop (u, w', OReg r))
+         (oneofl [ Neg; Not; Inc; Dec ]) w gpr));
+      (1, one (map2 (fun w' (a, b) -> Test (w', OReg a, OReg b)) w (pair gpr gpr)));
+      (1, one (map2 (fun a b -> Imul2 (W64, a, OReg b)) gpr gpr));
+      (1, one (map3 (fun s r k -> Shift (s, W64, OReg r, ShImm k))
+         (oneofl [ Shl; Shr; Sar ]) gpr (int_range 0 31)));
+      (1, one (map2 (fun c r -> Setcc (c, OReg r)) cc gpr));
+      (1, one (map3 (fun c a b -> Cmov (c, W64, a, OReg b)) cc gpr gpr));
+      (1, one (map3 (fun o a b -> SseArith (o, Sd, a, Xr b))
+         (oneofl [ FAdd; FSub; FMul ]) xr xr));
+      (1, one (map2 (fun a d -> SseArith (FAdd, Sd, a, Xm (mem_base ~disp:d RSI)))
+         xr disp));
+      (1, one (map2 (fun a d -> SseMov (Movsd, Xr a, Xm (mem_base ~disp:d RSI)))
+         xr disp));
+      (1, one (map2 (fun a d -> SseMov (Movsd, Xm (mem_base ~disp:d RSI), Xr a))
+         xr disp));
+      (1, one (map2 (fun a b -> SseLogic (Pxor, a, Xr b)) xr xr));
+      (* base + index*scale + disp operands *)
+      (2, gpr >>= fun r -> indexed (fun m -> Mov (W64, OReg r, OMem m)));
+      (1, gpr >>= fun r -> indexed (fun m -> Mov (W64, OMem m, OReg r)));
+      (2, gpr >>= fun r -> indexed (fun m -> Mov (W32, OReg r, OMem m)));
+      (1, gpr >>= fun r -> indexed (fun m -> Mov (W32, OMem m, OReg r)));
+      (1, pair alu gpr >>= fun (o, r) ->
+          indexed (fun m -> Alu (o, W64, OReg r, OMem m)));
+      (1, gpr >>= fun r -> indexed (fun m -> Movsx (W64, r, W32, OMem m)));
+      (1, pair gpr xr >>= fun (r, x) ->
+          indexed (fun m -> if r = RAX then SseMov (Movsd, Xr x, Xm m)
+                    else SseMov (Movsd, Xm m, Xr x)));
+      (* movsx r32->r64, imul3, lea with an index *)
+      (1, one (map2 (fun a b -> Movsx (W64, a, W32, OReg b)) gpr gpr));
+      (1, one (map3 (fun (w', a) b i -> Imul3 (w', a, OReg b, Int64.of_int i))
+         (pair w gpr) gpr (int_range (-300) 300)));
+      (* imul3 flags read straight away: CF/OF come from the recorded
+         sign-extended operands *)
+      (1, map3 (fun (w', a) (b, i) (c, r) ->
+           [ Imul3 (w', a, OReg b, Int64.of_int i); Setcc (c, OReg r) ])
+         (pair w gpr) (pair gpr (int_range (-300) 300)) (pair any_cc gpr));
+      (1, pair gpr (int_range (-5) 5) >>= fun (r, i) ->
+          indexed (fun m -> Imul3 (W64, r, OMem m, Int64.of_int i)));
+      (1, one (map3 (fun d (i, s) k ->
+           Lea (d, mk_mem ~base:RSI ~index:(i, s) ~disp:(8 * k) ()))
+         gpr (pair gpr (oneofl [ S1; S2; S4; S8 ])) (int_range (-4) 4)));
+      (* packed-double memory forms: movupd, Pd with a memory source,
+         unpcklpd (misaligned displacements exercise the penalty) *)
+      (1, xr >>= fun x -> indexed (fun m -> SseMov (Movupd, Xr x, Xm m)));
+      (1, xr >>= fun x -> indexed (fun m -> SseMov (Movdqu, Xm m, Xr x)));
+      (1, pair (oneofl [ FAdd; FSub; FMul; FMin; FMax ]) xr >>= fun (o, x) ->
+          indexed (fun m -> SseArith (o, Pd, x, Xm m)));
+      (1, xr >>= fun x -> indexed (fun m -> Unpcklpd (x, Xm m)));
+      (1, one (map2 (fun a b -> Unpcklpd (a, Xr b)) xr xr));
+      (* cmp r, imm (and r, r / test) followed by every cc *)
+      (2, with_jcc (map3 (fun w' r i -> Alu (Cmp, w', OReg r, OImm (Int64.of_int i)))
+         w gpr (int_range (-2) 1000)));
+      (1, with_jcc (map2 (fun w' (a, b) -> Alu (Cmp, w', OReg a, OReg b))
+         w (pair gpr gpr)));
+      (1, with_jcc (map2 (fun w' (a, b) -> Test (w', OReg a, OReg b))
+         w (pair gpr gpr))) ]
+
+(* give every jcc placeholder a fresh label placed right after it *)
+let number_labels (chunks : insn list list) : item list =
+  let n = ref 100 in
+  List.concat_map
+    (List.concat_map (function
+       | Jcc (cc, Lbl -1) -> incr n; [ I (Jcc (cc, Lbl !n)); L !n ]
+       | i -> [ I i ]))
+    chunks
+
+let print_body body =
+  String.concat "; "
+    (List.map (function I i -> Pp.insn i | it -> Pp.item it) body)
 
 let prop_engine_differential =
   QCheck.Test.make ~count:200 ~name:"superblock engine == single-step"
-    (QCheck.make
-       ~print:(fun body ->
-         String.concat "; "
-           (List.map
-              (function I i -> Pp.insn i | it -> Pp.item it)
-              body))
+    (QCheck.make ~print:print_body
        QCheck.Gen.(
-         map
-           (fun l -> List.map (fun i -> I i) l)
-           (list_size (int_bound 20) gen_body_insn)))
+         map number_labels (list_size (int_bound 20) gen_body_insn)))
     (fun body ->
       let a = observe Cpu.Superblocks body in
       let b = observe Cpu.SingleStep body in
@@ -800,23 +923,16 @@ let prop_engine_differential =
 
 (* Same differential, but with the skeleton loop iterated past the
    trace-promotion threshold: the superblock tier promotes the loop to
-   an unrolled trace mid-run, fuses body runs and defers flags, yet
+   an unrolled trace mid-run, pairs cmp/test with jcc and defers flags, yet
    every observable — including the simulated cycle and instruction
    counts, which are part of the semantics — must stay bit-identical
    to single-stepping. *)
 let prop_engine_differential_traced =
   QCheck.Test.make ~count:100
     ~name:"traced superblocks == single-step (cycles exact)"
-    (QCheck.make
-       ~print:(fun body ->
-         String.concat "; "
-           (List.map
-              (function I i -> Pp.insn i | it -> Pp.item it)
-              body))
+    (QCheck.make ~print:print_body
        QCheck.Gen.(
-         map
-           (fun l -> List.map (fun i -> I i) l)
-           (list_size (int_bound 12) gen_body_insn)))
+         map number_labels (list_size (int_bound 12) gen_body_insn)))
     (fun body ->
       let a = observe ~iters:12L Cpu.Superblocks body in
       let b = observe ~iters:12L Cpu.SingleStep body in
@@ -864,6 +980,8 @@ let () =
          Alcotest.test_case "indirect loop differential" `Quick
            test_indirect_loop_differential;
          Alcotest.test_case "trace promotion" `Quick test_trace_promotion;
+         Alcotest.test_case "steady-state allocation" `Quick
+           test_steady_state_allocation;
          qt prop_engine_differential;
          qt prop_engine_differential_traced ])
     ]

@@ -245,6 +245,16 @@ let check_bench path (j : json) =
    | true, false | false, true ->
      fail "%s: superblocks needs ic_hits and ic_misses together" ctx
    | _ -> ());
+  (* the engine fuses exactly one shape, cmp/test+jcc; any other
+     pattern name is a stale file from the generic mega-op fusion *)
+  (match List.assoc_opt "fused_pairs" sb with
+   | Some fp ->
+     List.iter
+       (fun (pat, _) ->
+         if pat <> "cmp_jcc" then
+           fail "%s: superblocks.fused_pairs has unknown pattern %S" ctx pat)
+       (as_obj (ctx ^ ".superblocks.fused_pairs") fp)
+   | None -> ());
   check_counts (ctx ^ ".transform_memo") (field ctx j "transform_memo");
   check_counts (ctx ^ ".dbrew_memo") (field ctx j "dbrew_memo");
   if sv >= 2 then begin
