@@ -101,11 +101,15 @@ let write_json section (fields : string list) =
    (CI's validator, trajectory tooling) key on this *)
 let bench_schema_version = 2
 
-let jstr k v = Printf.sprintf "%S: %S" k v
-let jint k v = Printf.sprintf "%S: %d" k v
-let jfloat k v = Printf.sprintf "%S: %.6f" k v
+(* a JSON string literal (OCaml's %S would emit OCaml escapes) *)
+let jq s = "\"" ^ Tel.json_escape s ^ "\""
 
-let jobj k fields = Printf.sprintf "%S: {%s}" k (String.concat ", " fields)
+let jstr k v = Printf.sprintf "%s: %s" (jq k) (jq v)
+let jint k v = Printf.sprintf "%s: %d" (jq k) v
+let jfloat k v = Printf.sprintf "%s: %.6f" (jq k) v
+
+let jobj k fields =
+  Printf.sprintf "%s: {%s}" (jq k) (String.concat ", " fields)
 
 let sb_stats_fields (s : Cpu.cache_stats) =
   [ jint "hits" s.Cpu.block_hits; jint "misses" s.Cpu.block_misses;

@@ -263,7 +263,8 @@ let print_stats (env : Modes.env) =
 let engine_stats_json (env : Modes.env) =
   let open Obrew_x86 in
   let s = Cpu.cache_stats env.Modes.img.Image.cpu in
-  let jint k v = Printf.sprintf "  %S: %d" k v in
+  let jq k = "\"" ^ Tel.json_escape k ^ "\"" in
+  let jint k v = Printf.sprintf "  %s: %d" (jq k) v in
   let body =
     String.concat ",\n"
       [ Printf.sprintf "  \"schema_version\": 1";
@@ -279,7 +280,7 @@ let engine_stats_json (env : Modes.env) =
         Printf.sprintf "  \"fused_pairs\": {%s}"
           (String.concat ", "
              (List.map
-                (fun (pat, n) -> Printf.sprintf "%S: %d" pat n)
+                (fun (pat, n) -> Printf.sprintf "%s: %d" (jq pat) n)
                 s.Cpu.fused_pairs));
         jint "flag_records" s.Cpu.flag_records;
         jint "flag_materialized" s.Cpu.flag_materialized;

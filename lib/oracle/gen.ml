@@ -288,7 +288,7 @@ let gen_jcc r lbl =
 
 (* adjacent dependent pairs: mov-imm feeding an ALU op, lea feeding a
    memory access, cmp/test immediately followed by jcc (the shape
-   [build_slots] pairs into one predicated slot) and push/pop spill
+   [Cpu.build_block] pairs into one predicated slot) and push/pop spill
    pairs.  Back to back they make dense flag-writer runs that exercise
    predicate pairs, lazy flags and dead-flag elimination. *)
 let gen_fused_pair r _lbl =

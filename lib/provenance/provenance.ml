@@ -133,11 +133,10 @@ let record_insn addr cycles =
   Tel.incr_c c_insns
 
 (** Record one superblock execution. *)
-let record_block entry ~cycles ~insns =
+let record_block entry ~cycles =
   let c = cell block_prof entry in
   c.p_cycles <- c.p_cycles + cycles;
   c.p_execs <- c.p_execs + 1;
-  ignore insns;
   Tel.incr_c c_blocks
 
 let iter_insn_profile f =

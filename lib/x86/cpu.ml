@@ -10,8 +10,8 @@
       re-fetches through the per-address decode cache on every
       instruction, and
     - the translation-block engine ({!run}), which pre-decodes
-      straight-line superblocks into flat arrays with precomputed
-      per-instruction cycle costs and executes them with an inner loop
+      straight-line superblocks into arrays of translated slots with
+      precomputed static cycle costs and executes them with an inner loop
       that touches neither a hash table nor the decoder.  Blocks are
       chained: each block keeps a small inline cache of successor
       blocks, so steady-state loops run entirely inside the code
@@ -69,23 +69,25 @@ type sb_kind = KStraight | KLoopHead | KTrace
     ([sb_ranges]); hot self-loop blocks are promoted to traces that
     unroll the loop body across the backedge with side-exits.
 
-    Execution runs over the slot arrays ([sb_slots] etc.): one
+    A block is an array of execution slots and nothing else: one
     closure per instruction, except that a cmp/test immediately
-    followed by a direct jcc shares one predicated slot; the
-    per-instruction arrays ([sb_ops]/[sb_rips]/...) are kept for the
-    profiled twin, which needs exact per-address attribution. *)
+    followed by a direct jcc shares one predicated slot.  A block built
+    while profiling is on ([t.sb_prof]) pairs nothing, and each slot
+    closure is wrapped to record its own address's cycles, so one loop
+    ({!exec_block}) serves both modes.  Static costs and instruction
+    counts are kept as slot-prefix totals: [sb_cost_to.(j)] and
+    [sb_insns_to.(j)] cover slots [0 .. j-1], so the last element is
+    the whole block's. *)
 type sblock = {
   sb_entry : int;
-  sb_insns : insn array;
-  sb_ops : op_fn array;           (* translated, one per instruction *)
-  sb_rips : int array;            (* rip after each instruction *)
-  sb_addrs : int array;           (* guest address of each instruction *)
-  sb_costs : int array;           (* static Cost.insn_cost per insn *)
-  sb_static : int;                (* sum of sb_costs *)
   sb_slots : op_fn array;         (* execution slots *)
   sb_slot_rips : int array;       (* rip after a slot's first insn *)
-  sb_slot_costs : int array;      (* static cost of the whole slot *)
-  sb_slot_insns : int array;      (* instructions per slot (1 or 2) *)
+  sb_cost_to : int array;         (* static cost of the first j slots *)
+  sb_insns_to : int array;        (* instructions in the first j slots *)
+  sb_exit : op_fn;                (* loop head: side-exit variant of its
+                                     final (backedge) slot, placed at
+                                     every non-final backedge of a
+                                     trace built from it *)
   sb_ranges : (int * int) list;   (* covered byte ranges [lo, hi) *)
   sb_kind : sb_kind;
   mutable sb_execs : int;         (* executions (always counted): drives
@@ -155,14 +157,18 @@ and t = {
   mutable fl_mats : int;       (* records actually materialized *)
   mutable fl_dead : int;       (* flag writes elided by liveness *)
   mutable pen : int;           (* scratch penalty accumulator of exec *)
+  mutable sb_prof : bool;      (* the cached blocks were built for
+                                  profiling (see {!run}) *)
   cost : Cost.t;
 }
 
+(* [sb_exit] of a block that is not a loop head *)
+let no_exit : op_fn = fun _ -> invalid_arg "Cpu: not a loop head"
+
 (* never-valid sentinel filling empty [bcache] slots *)
 let dummy_block =
-  { sb_entry = -1; sb_insns = [||]; sb_ops = [||]; sb_rips = [||];
-    sb_addrs = [||]; sb_costs = [||]; sb_static = 0; sb_slots = [||];
-    sb_slot_rips = [||]; sb_slot_costs = [||]; sb_slot_insns = [||];
+  { sb_entry = -1; sb_slots = [||]; sb_slot_rips = [||];
+    sb_cost_to = [| 0 |]; sb_insns_to = [| 0 |]; sb_exit = no_exit;
     sb_ranges = []; sb_kind = KStraight; sb_execs = 0; sb_valid = false;
     sb_link1 = None; sb_link2 = None; sb_ind = false; sb_ic1 = None;
     sb_ic2 = None }
@@ -187,7 +193,7 @@ let create ?(cost = Cost.default) () =
     fu_cmpjcc = 0;
     fl_op = FlEager; fl_w = W64; flbuf = i64buf 3;
     fl_records = 0; fl_mats = 0; fl_dead = 0;
-    pen = 0; cost }
+    pen = 0; sb_prof = false; cost }
 
 (* -------- scalar helpers -------- *)
 
@@ -631,6 +637,10 @@ let cache_stats cpu =
     flag_records = cpu.fl_records; flag_materialized = cpu.fl_mats;
     flag_dead_writes = cpu.fl_dead }
 
+(* whole-block static cost and instruction count: the last prefix total *)
+let block_cost b = b.sb_cost_to.(Array.length b.sb_slots)
+let block_insns b = b.sb_insns_to.(Array.length b.sb_slots)
+
 (** Fold [f acc entry execs static_cost] over every valid cached
     superblock — the tier controller's hotness scan.  [execs] counts
     executions since the block was translated (a re-translation or
@@ -640,7 +650,8 @@ let cache_stats cpu =
     hot loop bodies above straight-line glue. *)
 let fold_blocks cpu f acc =
   Hashtbl.fold
-    (fun e b acc -> if b.sb_valid then f acc e b.sb_execs b.sb_static else acc)
+    (fun e b acc ->
+      if b.sb_valid then f acc e b.sb_execs (block_cost b) else acc)
     cpu.blocks acc
 
 let reset_cache_stats cpu =
@@ -1656,36 +1667,29 @@ let side_exit_jcc (c : Cost.t) cc ~ft : op_fn =
       raise Trace_exit
     end
 
-(* Group a block's instructions into execution slots: one per
-   instruction, except that each cmp/test+jcc pair shares a slot.
-   [side_exit_at k] marks instruction indices whose (backedge Jcc)
-   translation must be the side-exit variant. *)
-let build_slots cpu ~side_exit_at (insns : insn array) (rips : int array)
-    (costs : int array) (ops : op_fn array) =
-  let n = Array.length insns in
-  let slots = ref [] in
-  let k = ref 0 in
-  while !k < n do
-    let j = !k + 1 in
-    match (if j < n then (insns.(!k), insns.(j)) else (Ret, Ret)) with
-    | ((Alu (Cmp, _, _, _) | Test _) as i), Jcc (cc, Abs tgt) ->
-      cpu.fu_cmpjcc <- cpu.fu_cmpjcc + 1;
-      Tel.incr_c c_fuse_cmpjcc;
-      let op =
-        pair_jcc cpu.cost ~next:rips.(!k) i cc ~tgt ~ft:rips.(j)
-          ~side_exit:(side_exit_at j)
-      in
-      slots := (op, rips.(!k), costs.(!k) + costs.(j), 2) :: !slots;
-      k := !k + 2
-    | _ ->
-      slots := (ops.(!k), rips.(!k), costs.(!k), 1) :: !slots;
-      incr k
+(* A slot of a block built while profiling: runs [op] and attributes
+   its static [cost] plus dynamic penalty to [addr], exactly what
+   {!step} records for it.  A side exit records the branch penalty it
+   stashed in [pen]; a fault records nothing, as in {!step}.  Built at
+   translation time, so the block loop itself does no profiling work
+   per slot. *)
+let profiled addr cost (op : op_fn) : op_fn =
+ fun cpu ->
+  match op cpu with
+  | p ->
+    Prov.record_insn addr (cost + p);
+    p
+  | exception Trace_exit ->
+    Prov.record_insn addr (cost + cpu.pen);
+    raise Trace_exit
+
+(* [a.(j)] = [f 0 + ... + f (j-1)]: the slot-prefix totals of a block *)
+let prefix_sums n f =
+  let a = Array.make (n + 1) 0 in
+  for j = 0 to n - 1 do
+    a.(j + 1) <- a.(j) + f j
   done;
-  let arr = Array.of_list (List.rev !slots) in
-  ( Array.map (fun (o, _, _, _) -> o) arr,
-    Array.map (fun (_, r, _, _) -> r) arr,
-    Array.map (fun (_, _, c, _) -> c) arr,
-    Array.map (fun (_, _, _, i) -> i) arr )
+  a
 
 let build_block cpu entry : sblock =
   let args = if !Tel.enabled then Printf.sprintf "0x%x" entry else "" in
@@ -1704,11 +1708,6 @@ let build_block cpu entry : sblock =
     run;
   let costs = Cost.insn_costs cpu.cost insns in
   let dead = dead_flag_writes insns in
-  let ops =
-    Array.mapi
-      (fun k ins -> translate ~dead_flags:dead.(k) ~next:rips.(k) cpu.cost ins)
-      insns
-  in
   Array.iter
     (fun d ->
       if d then begin
@@ -1716,18 +1715,50 @@ let build_block cpu entry : sblock =
         Tel.incr_c c_fl_dead
       end)
     dead;
-  let slots, slot_rips, slot_costs, slot_insns =
-    build_slots cpu ~side_exit_at:(fun _ -> false) insns rips costs ops
-  in
+  let prof = cpu.sb_prof in
+  let single k op = if prof then profiled addrs.(k) costs.(k) op else op in
+  (* group the instructions into slots: one per instruction, except
+     that each cmp/test+jcc pair shares a slot unless profiling *)
+  let slots = ref [] in
+  let k = ref 0 in
+  while !k < n do
+    let j = !k + 1 in
+    let pair =
+      if j < n && not prof then (insns.(!k), insns.(j)) else (Ret, Ret)
+    in
+    match pair with
+    | ((Alu (Cmp, _, _, _) | Test _) as i), Jcc (cc, Abs tgt) ->
+      cpu.fu_cmpjcc <- cpu.fu_cmpjcc + 1;
+      Tel.incr_c c_fuse_cmpjcc;
+      let op =
+        pair_jcc cpu.cost ~next:rips.(!k) i cc ~tgt ~ft:rips.(j)
+          ~side_exit:false
+      in
+      slots := (op, rips.(!k), costs.(!k) + costs.(j), 2) :: !slots;
+      k := !k + 2
+    | _ ->
+      let op =
+        translate ~dead_flags:dead.(!k) ~next:rips.(!k) cpu.cost insns.(!k)
+      in
+      slots := (single !k op, rips.(!k), costs.(!k), 1) :: !slots;
+      incr k
+  done;
+  let slots = Array.of_list (List.rev !slots) in
+  let m = Array.length slots in
   let ranges = List.filter (fun (lo, hi) -> hi > lo) ranges in
-  let kind =
-    if
-      n >= 2
-      && (match insns.(n - 1) with
-          | Jcc (_, Abs t) -> t = entry
-          | _ -> false)
-    then KLoopHead
-    else KStraight
+  (* a loop head keeps the side-exit variant of its backedge slot for
+     {!build_trace}: the same pair (or lone jcc) leaving the trace on
+     fall-through *)
+  let kind, exit =
+    match insns.(n - 1) with
+    | Jcc (cc, Abs t) when n >= 2 && t = entry ->
+      let _, _, _, w = slots.(m - 1) in
+      ( KLoopHead,
+        if w = 2 then
+          pair_jcc cpu.cost ~next:rips.(n - 2) insns.(n - 2) cc ~tgt:t
+            ~ft:rips.(n - 1) ~side_exit:true
+        else single (n - 1) (side_exit_jcc cpu.cost cc ~ft:rips.(n - 1)) )
+    | _ -> (KStraight, no_exit)
   in
   (* an indirect terminator (unpredictable successor) routes this
      block's transitions through the inline cache instead of the
@@ -1735,16 +1766,16 @@ let build_block cpu entry : sblock =
      KLoopHead (that requires a direct Jcc backedge) and therefore
      never promoted to a trace *)
   let ind =
-    n >= 1
-    && (match insns.(n - 1) with
-        | JmpInd _ | CallInd _ | Ret -> true
-        | _ -> false)
+    match insns.(n - 1) with
+    | JmpInd _ | CallInd _ | Ret -> true
+    | _ -> false
   in
-  { sb_entry = entry; sb_insns = insns; sb_ops = ops; sb_rips = rips;
-    sb_addrs = addrs; sb_costs = costs;
-    sb_static = Array.fold_left ( + ) 0 costs;
-    sb_slots = slots; sb_slot_rips = slot_rips; sb_slot_costs = slot_costs;
-    sb_slot_insns = slot_insns; sb_ranges = ranges; sb_kind = kind;
+  { sb_entry = entry;
+    sb_slots = Array.map (fun (o, _, _, _) -> o) slots;
+    sb_slot_rips = Array.map (fun (_, r, _, _) -> r) slots;
+    sb_cost_to = prefix_sums m (fun j -> let _, _, c, _ = slots.(j) in c);
+    sb_insns_to = prefix_sums m (fun j -> let _, _, _, w = slots.(j) in w);
+    sb_exit = exit; sb_ranges = ranges; sb_kind = kind;
     sb_execs = 0; sb_valid = true; sb_link1 = None; sb_link2 = None;
     sb_ind = ind; sb_ic1 = None; sb_ic2 = None })
 
@@ -1761,41 +1792,32 @@ let max_unroll = 16
 let max_trace_insns = 256
 
 (* Promote a hot self-loop block (body + backedge Jcc to its own
-   entry) into a trace: the body is unrolled [u] times across the
-   backedge; every non-final backedge copy becomes a side-exit that
-   leaves the trace with exact accounting when the loop ends, and the
-   final copy keeps a normal Jcc whose taken edge chains straight back
-   to the trace itself. *)
+   entry) into a trace: the body's slots are repeated [u] times; every
+   non-final backedge slot is the base block's [sb_exit], which leaves
+   the trace with exact accounting when the loop ends, and the final
+   copy keeps the normal backedge whose taken edge chains straight back
+   to the trace itself.  The base block's closures are reused as they
+   are: every repeated slot is the same insn at the same rip. *)
 let build_trace cpu (b : sblock) : sblock =
-  let n = Array.length b.sb_insns in
+  let m = Array.length b.sb_slots and n = block_insns b in
   let u = min max_unroll (max_trace_insns / n) in
-  let total = u * n in
-  let insns = Array.init total (fun k -> b.sb_insns.(k mod n)) in
-  let rips = Array.init total (fun k -> b.sb_rips.(k mod n)) in
-  let addrs = Array.init total (fun k -> b.sb_addrs.(k mod n)) in
-  let costs = Array.init total (fun k -> b.sb_costs.(k mod n)) in
-  let side_exit_at k = (k + 1) mod n = 0 && k < total - 1 in
-  let ops =
-    Array.init total (fun k ->
-        if side_exit_at k then
-          match insns.(k) with
-          | Jcc (cc, Abs _) -> side_exit_jcc cpu.cost cc ~ft:rips.(k)
-          | _ -> assert false
-        else
-          (* reuse the base block's already-translated closure: every
-             non-side-exit position is the same insn at the same rip,
-             so re-translating u*n copies is pure promotion-time waste *)
-          b.sb_ops.(k mod n))
-  in
-  let slots, slot_rips, slot_costs, slot_insns =
-    build_slots cpu ~side_exit_at insns rips costs ops
-  in
-  Tel.observe h_sb_len total;
-  { sb_entry = b.sb_entry; sb_insns = insns; sb_ops = ops; sb_rips = rips;
-    sb_addrs = addrs; sb_costs = costs;
-    sb_static = Array.fold_left ( + ) 0 costs;
-    sb_slots = slots; sb_slot_rips = slot_rips; sb_slot_costs = slot_costs;
-    sb_slot_insns = slot_insns; sb_ranges = b.sb_ranges; sb_kind = KTrace;
+  let total = u * m in
+  (* each repeated pair counts as created, as if re-paired per copy *)
+  cpu.fu_cmpjcc <- cpu.fu_cmpjcc + (u * (n - m));
+  Tel.add_c c_fuse_cmpjcc (u * (n - m));
+  let base k = k mod m in
+  let slot_cost k = b.sb_cost_to.(base k + 1) - b.sb_cost_to.(base k) in
+  let slot_insns k = b.sb_insns_to.(base k + 1) - b.sb_insns_to.(base k) in
+  Tel.observe h_sb_len (u * n);
+  { b with
+    sb_slots =
+      Array.init total (fun k ->
+          if base k = m - 1 && k < total - 1 then b.sb_exit
+          else b.sb_slots.(base k));
+    sb_slot_rips = Array.init total (fun k -> b.sb_slot_rips.(base k));
+    sb_cost_to = prefix_sums total slot_cost;
+    sb_insns_to = prefix_sums total slot_insns;
+    sb_exit = no_exit; sb_kind = KTrace;
     sb_execs = 0; sb_valid = true; sb_link1 = None; sb_link2 = None;
     (* a trace is only ever built from a KLoopHead, whose terminator is
        a direct Jcc backedge — it can never carry an indirect IC *)
@@ -1824,14 +1846,25 @@ let lookup_block cpu addr : sblock =
       Array.unsafe_set cpu.bcache slot b;
       b
 
+(* Account the first [k] slots of [b] plus dynamic penalties [pen],
+   and the block total to the profiler when profiling.  Top level, not
+   a closure in {!exec_block}: a local closure would allocate on every
+   block execution. *)
+let finish cpu b k pen =
+  let cycles = Array.unsafe_get b.sb_cost_to k + pen in
+  cpu.icount <- cpu.icount + Array.unsafe_get b.sb_insns_to k;
+  cpu.cycles <- cpu.cycles + cycles;
+  if cpu.sb_prof then Prov.record_block b.sb_entry ~cycles
+
 (* Execute one superblock.  Observably equivalent to {!step}-ing
    through it — rip is advanced past the instruction before it
    executes (calls push it, non-taken Jcc falls through to it) — but
    fetch, decode and the static cost computation are all hoisted out
    of the loop, and cycles/icount are written back once per block
    (with the executed prefix accounted exactly if an instruction
-   faults). *)
-let exec_block_fast cpu (b : sblock) =
+   faults).  The same loop runs profiled blocks, whose slots record
+   their own cycles (see {!profiled}). *)
+let exec_block cpu (b : sblock) =
   Tel.incr_c c_sb_exec;
   let ops = b.sb_slots and rips = b.sb_slot_rips in
   let n = Array.length ops in
@@ -1843,83 +1876,21 @@ let exec_block_fast cpu (b : sblock) =
       penalties := !penalties + (Array.unsafe_get ops !k) cpu;
       incr k
     done;
-    cpu.icount <- cpu.icount + Array.length b.sb_insns;
-    cpu.cycles <- cpu.cycles + b.sb_static + !penalties
+    finish cpu b n !penalties
   with
   | Trace_exit ->
     (* the side-exit slot ran to completion: account it fully, with
        its branch penalty stashed in [pen] by the raise *)
-    let static = ref 0 and ic = ref 0 in
-    for j = 0 to !k do
-      static := !static + b.sb_slot_costs.(j);
-      ic := !ic + b.sb_slot_insns.(j)
-    done;
-    cpu.icount <- cpu.icount + !ic;
-    cpu.cycles <- cpu.cycles + !static + !penalties + cpu.pen;
+    finish cpu b (!k + 1) (!penalties + cpu.pen);
     cpu.sb_side_exits <- cpu.sb_side_exits + 1;
     Tel.incr_c c_sb_sidexit
   | e ->
-    (* per-slot accounting for the prefix before the fault, exactly
-       as the single-step engine leaves it (a cmp/test+jcc slot never
-       raises, so the faulting slot is a single instruction) *)
-    let static = ref 0 and ic = ref 0 in
-    for j = 0 to !k - 1 do
-      static := !static + b.sb_slot_costs.(j);
-      ic := !ic + b.sb_slot_insns.(j)
-    done;
-    cpu.icount <- cpu.icount + !ic;
-    cpu.cycles <- cpu.cycles + !static + !penalties;
+    (* the prefix before the fault, exactly as the single-step engine
+       leaves it (a cmp/test+jcc slot never raises, so the faulting
+       slot is a single instruction) *)
+    finish cpu b !k !penalties;
     materialize cpu;
     raise e
-
-(* Profiled twin of {!exec_block_fast}: attributes every simulated
-   cycle (static cost + dynamic penalty) to the guest address of the
-   instruction that spent it, and the block total to the superblock
-   entry.  The per-insn sums equal the engine's cycle writeback
-   exactly, including the executed prefix of a faulting block and the
-   partial iterations of a side-exiting trace.  It runs over the
-   per-instruction arrays so attribution stays per-address even where
-   the fast path executes a cmp/test+jcc pair as one slot. *)
-let exec_block_profiled cpu (b : sblock) =
-  Tel.incr_c c_sb_exec;
-  let ops = b.sb_ops and rips = b.sb_rips and costs = b.sb_costs in
-  let addrs = b.sb_addrs in
-  let n = Array.length ops in
-  let total = ref 0 in
-  let k = ref 0 in
-  try
-    while !k < n do
-      cpu.rip <- Array.unsafe_get rips !k;
-      let c = costs.(!k) + (Array.unsafe_get ops !k) cpu in
-      Prov.record_insn (Array.unsafe_get addrs !k) c;
-      total := !total + c;
-      incr k
-    done;
-    cpu.icount <- cpu.icount + n;
-    cpu.cycles <- cpu.cycles + !total;
-    Prov.record_block b.sb_entry ~cycles:!total ~insns:n
-  with
-  | Trace_exit ->
-    (* the exiting backedge executed: attribute its static cost plus
-       the stashed branch penalty to its own address *)
-    let c = costs.(!k) + cpu.pen in
-    Prov.record_insn addrs.(!k) c;
-    total := !total + c;
-    cpu.icount <- cpu.icount + !k + 1;
-    cpu.cycles <- cpu.cycles + !total;
-    Prov.record_block b.sb_entry ~cycles:!total ~insns:(!k + 1);
-    cpu.sb_side_exits <- cpu.sb_side_exits + 1;
-    Tel.incr_c c_sb_sidexit
-  | e ->
-    cpu.icount <- cpu.icount + !k;
-    cpu.cycles <- cpu.cycles + !total;
-    Prov.record_block b.sb_entry ~cycles:!total ~insns:!k;
-    materialize cpu;
-    raise e
-
-(* the fast path pays exactly one branch when profiling is off *)
-let exec_block cpu (b : sblock) =
-  if !Prov.enabled then exec_block_profiled cpu b else exec_block_fast cpu b
 
 (* Indirect-terminator successor lookup: a 2-way inline cache of
    predicted targets.  A cached prediction is trusted only after
@@ -2014,6 +1985,14 @@ let budget_exceeded cpu budget =
     make per-block instruction counts dynamic. *)
 let run ?(max_insns = 2_000_000_000) cpu =
   Tel.span "emulate.run" (fun () ->
+      (* blocks are built for one profiling setting ({!profiled}): a run
+         under the other one drops them all first.  Not a flush — no
+         code changed, so it is not counted as one. *)
+      if !Prov.enabled <> cpu.sb_prof then begin
+        cpu.sb_prof <- !Prov.enabled;
+        Hashtbl.iter (fun _ b -> b.sb_valid <- false) cpu.blocks;
+        Hashtbl.reset cpu.blocks
+      end;
       let limit = cpu.icount + max_insns in
       if cpu.rip <> stop_addr then begin
         let blk = ref (lookup_block cpu cpu.rip) in
@@ -2028,7 +2007,7 @@ let run ?(max_insns = 2_000_000_000) cpu =
           (match b.sb_kind with KLoopHead -> begin
             if
               b.sb_execs = trace_threshold
-              && 2 * Array.length b.sb_insns <= max_trace_insns
+              && 2 * block_insns b <= max_trace_insns
             then begin
               let tr = build_trace cpu b in
               b.sb_valid <- false;

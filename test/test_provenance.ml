@@ -176,6 +176,97 @@ let profiled_run engine =
 let test_profile_superblocks () = profiled_run Cpu.Superblocks
 let test_profile_single_step () = profiled_run Cpu.SingleStep
 
+(* The superblock profile equals the single-step one address by
+   address, not just in total.  Blocks are built unpaired while
+   profiling and each slot records its own cycles, so this holds across
+   trace side exits, a faulting block and blocks built before profiling
+   was switched on.  The per-block totals sum to the engine's cycles. *)
+
+let insn_rows () =
+  let rows = ref [] in
+  Prov.iter_insn_profile (fun ~addr ~cycles ~execs ->
+      rows := (addr, cycles, execs) :: !rows);
+  List.sort compare !rows
+
+let block_total () =
+  let t = ref 0 in
+  Prov.iter_block_profile (fun ~entry:_ ~cycles ~execs:_ -> t := !t + cycles);
+  !t
+
+(* Install [code] on a fresh image, make the [warm] calls with
+   profiling off, then the [calls] with profiling on.  A faulting call
+   is swallowed.  Returns the per-address rows, the engine's cycle
+   delta over [calls], the block-profile total and the cache stats. *)
+let profile_calls ?(warm = []) engine code calls =
+  let img = Image.create () in
+  let fn = Image.install_code img code in
+  let call args =
+    try ignore (Image.call ~engine img ~fn ~args)
+    with Obrew_fault.Err.Error _ -> ()
+  in
+  List.iter call warm;
+  with_prov (fun () ->
+      let cpu = img.Image.cpu in
+      let c0 = cpu.Cpu.cycles in
+      List.iter call calls;
+      (insn_rows (), cpu.Cpu.cycles - c0, block_total (), Cpu.cache_stats cpu))
+
+let check_equiv ?warm code calls =
+  let sb_rows, sb_cycles, sb_blocks, stats =
+    profile_calls ?warm Cpu.Superblocks code calls
+  in
+  let ss_rows, ss_cycles, _, _ = profile_calls Cpu.SingleStep code calls in
+  check
+    Alcotest.(list (triple int int int))
+    "per-address profile equals single-step" ss_rows sb_rows;
+  check Alcotest.bool "profile is not empty" true (sb_rows <> []);
+  check cint "engine cycles equal single-step" ss_cycles sb_cycles;
+  check cint "block profile sums to the engine delta" sb_cycles sb_blocks;
+  stats
+
+(* two counted loops: a cmp+jl backedge and a lone dec+jnz backedge *)
+let loop_code =
+  let open Insn in
+  [ I (Alu (Xor, W32, OReg Reg.RAX, OReg Reg.RAX));
+    I (Alu (Xor, W32, OReg Reg.RCX, OReg Reg.RCX));
+    L 0;
+    I (Alu (Add, W64, OReg Reg.RAX, OReg Reg.RCX));
+    I (Alu (Add, W64, OReg Reg.RCX, OImm 1L));
+    I (Alu (Cmp, W64, OReg Reg.RCX, OReg Reg.RDI));
+    I (Jcc (L, Lbl 0));
+    L 1;
+    I (Alu (Add, W64, OReg Reg.RAX, OReg Reg.RSI));
+    I (Unop (Dec, W64, OReg Reg.RSI));
+    I (Jcc (NE, Lbl 1));
+    I Ret ]
+
+let loop_calls = [ [ 37L; 20L ]; [ 100L; 41L ]; [ 5L; 3L ] ]
+
+let test_equiv_trace () =
+  let s = check_equiv loop_code loop_calls in
+  check Alcotest.bool "both loops became traces" true
+    (s.Cpu.traces_built >= 2);
+  check Alcotest.bool "traces side-exited" true (s.Cpu.trace_side_exits >= 2)
+
+let test_equiv_fault () =
+  let open Insn in
+  ignore
+    (check_equiv
+       [ I (Mov (W64, OReg Reg.RAX, OReg Reg.RDI));
+         I (Alu (Add, W64, OReg Reg.RAX, OReg Reg.RSI));
+         I (Alu (Cmp, W64, OReg Reg.RAX, OReg Reg.RDI));
+         I Ud2;
+         I Ret ]
+       [ [ 3L; 4L ] ])
+
+let test_equiv_built_unprofiled () =
+  let cold = check_equiv loop_code loop_calls in
+  let warm = check_equiv ~warm:loop_calls loop_code loop_calls in
+  check Alcotest.bool "traces were rebuilt for profiling" true
+    (warm.Cpu.traces_built > cold.Cpu.traces_built);
+  check cint "dropping stale blocks is not a flush" cold.Cpu.block_flushes
+    warm.Cpu.block_flushes
+
 (* Profiling off must leave the counters untouched. *)
 let test_disabled_records_nothing () =
   Prov.reset ();
@@ -229,6 +320,13 @@ let () =
             test_profile_superblocks;
           Alcotest.test_case "single-step: cycles sum exactly" `Quick
             test_profile_single_step;
+          Alcotest.test_case "superblocks equal single-step: traces" `Quick
+            test_equiv_trace;
+          Alcotest.test_case "superblocks equal single-step: fault" `Quick
+            test_equiv_fault;
+          Alcotest.test_case
+            "superblocks equal single-step: blocks built unprofiled" `Quick
+            test_equiv_built_unprofiled;
           Alcotest.test_case "disabled records nothing" `Quick
             test_disabled_records_nothing ] );
       ( "annotate",
