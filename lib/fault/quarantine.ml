@@ -52,15 +52,12 @@ let clear () =
 (** JSON array of the registry, oldest quarantine first — the
     black-box report's "quarantine" section. *)
 let to_json () =
-  let esc = Obrew_telemetry.Telemetry.json_escape in
-  "["
-  ^ String.concat ", "
+  Obrew_telemetry.Json.(
+    List
       (List.map
          (fun e ->
-           Printf.sprintf
-             "{\"digest\": \"%s\", \"mode\": \"%s\", \"detail\": \"%s\", \
-              \"tick\": %d}"
-             (Digest.to_hex e.q_digest) (esc e.q_mode) (esc e.q_detail)
-             e.q_tick)
-         (entries ()))
-  ^ "]"
+           Obj
+             [ ("digest", String (Digest.to_hex e.q_digest));
+               ("mode", String e.q_mode); ("detail", String e.q_detail);
+               ("tick", Int e.q_tick) ])
+         (entries ())))

@@ -23,6 +23,7 @@
     one [bool ref] per potential record. *)
 
 module Tel = Obrew_telemetry.Telemetry
+module Json = Obrew_telemetry.Json
 
 (* ------------------------------------------------------------------ *)
 (* Compact ids                                                         *)
@@ -208,87 +209,73 @@ let reset () =
 let remarks_schema_version = 1
 let profile_schema_version = 1
 
-let esc = Tel.json_escape
-
 (** Flat JSON of every optimizer remark, lift order preserved. *)
 let export_remarks () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"schema_version\":%d,\"remarks\":[" remarks_schema_version);
-  let first = ref true in
+  let rs = ref [] in
   iter_remarks (fun r ->
-      if !first then first := false else Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"pass\":\"%s\",\"action\":\"%s\",\"guest_addr\":%d,\"ord\":%d,\
-            \"detail\":\"%s\"}"
-           (esc r.pass) (action_name r.action) (addr r.prov) (ord r.prov)
-           (esc r.detail)));
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+      rs :=
+        Json.(
+          Obj
+            [ ("pass", String r.pass);
+              ("action", String (action_name r.action));
+              ("guest_addr", Int (addr r.prov)); ("ord", Int (ord r.prov));
+              ("detail", String r.detail) ])
+        :: !rs);
+  Json.(
+    Obj
+      [ ("schema_version", Int remarks_schema_version);
+        ("remarks", List (List.rev !rs)) ])
+
+(* (address, cycles, execs) profile rows, hottest first *)
+let hottest iter =
+  let rows = ref [] in
+  iter (fun a cy ex -> rows := (a, cy, ex) :: !rows);
+  List.sort (fun (_, c1, _) (_, c2, _) -> compare c2 c1) !rows
+
+let insn_rows () =
+  hottest (fun f ->
+      iter_insn_profile (fun ~addr ~cycles ~execs -> f addr cycles execs))
+
+let block_rows () =
+  hottest (fun f ->
+      iter_block_profile (fun ~entry ~cycles ~execs -> f entry cycles execs))
 
 (** Profile JSON: top-[top] hot addresses by simulated cycles with
     their cycle share, plus the per-superblock counters.  Addresses
     inside an emitted function's host ranges also carry the guest
     address they originate from. *)
 let export_profile ?(top = 20) () =
-  let rows = ref [] in
-  iter_insn_profile (fun ~addr ~cycles ~execs ->
-      rows := (addr, cycles, execs) :: !rows);
-  let rows =
-    List.sort (fun (_, c1, _) (_, c2, _) -> compare c2 c1) !rows
-  in
   let total_cycles, total_execs = profile_totals () in
-  let shown = List.filteri (fun i _ -> i < top) rows in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"schema_version\":%d,\"total_cycles\":%d,\"total_execs\":%d,\
-        \"rows\":["
-       profile_schema_version total_cycles total_execs);
-  let first = ref true in
-  List.iter
-    (fun (a, cy, ex) ->
-      if !first then first := false else Buffer.add_char buf ',';
-      let share =
-        if total_cycles = 0 then 0.0
-        else float_of_int cy /. float_of_int total_cycles
-      in
-      let guest =
-        match guest_of_host a with
-        | Some p -> Printf.sprintf ",\"guest_addr\":%d" (addr p)
-        | None -> ""
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"addr\":%d,\"cycles\":%d,\"execs\":%d,\"share\":%.6f%s}" a cy ex
-           share guest))
-    shown;
-  Buffer.add_string buf "],\"blocks\":[";
-  let brows = ref [] in
-  iter_block_profile (fun ~entry ~cycles ~execs ->
-      brows := (entry, cycles, execs) :: !brows);
-  let brows =
-    List.sort (fun (_, c1, _) (_, c2, _) -> compare c2 c1) !brows
+  let first l = List.filteri (fun i _ -> i < top) l in
+  let row (a, cy, ex) =
+    let share =
+      if total_cycles = 0 then 0.0
+      else float_of_int cy /. float_of_int total_cycles
+    in
+    let guest =
+      match guest_of_host a with
+      | Some p -> [ ("guest_addr", Json.Int (addr p)) ]
+      | None -> []
+    in
+    Json.(
+      Obj
+        ([ ("addr", Int a); ("cycles", Int cy); ("execs", Int ex);
+           ("share", Float share) ]
+         @ guest))
   in
-  let first = ref true in
-  List.iter
-    (fun (a, cy, ex) ->
-      if !first then first := false else Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"entry\":%d,\"cycles\":%d,\"execs\":%d}" a cy ex))
-    (List.filteri (fun i _ -> i < top) brows);
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+  let block (a, cy, ex) =
+    Json.(Obj [ ("entry", Int a); ("cycles", Int cy); ("execs", Int ex) ])
+  in
+  Json.(
+    Obj
+      [ ("schema_version", Int profile_schema_version);
+        ("total_cycles", Int total_cycles); ("total_execs", Int total_execs);
+        ("rows", List (List.map row (first (insn_rows ()))));
+        ("blocks", List (List.map block (first (block_rows ())))) ])
 
 (** Human-readable top-[top] table (the [--profile] output). *)
 let format_profile ?(top = 20) () =
-  let rows = ref [] in
-  iter_insn_profile (fun ~addr ~cycles ~execs ->
-      rows := (addr, cycles, execs) :: !rows);
-  let rows =
-    List.sort (fun (_, c1, _) (_, c2, _) -> compare c2 c1) !rows
-  in
+  let rows = insn_rows () in
   let total, _ = profile_totals () in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -313,8 +300,3 @@ let format_profile ?(top = 20) () =
       end)
     rows;
   Buffer.contents buf
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc

@@ -298,26 +298,6 @@ let enable ?(capacity = default_capacity) () =
 
 let disable () = enabled := false
 
-(* ------------------------------------------------------------------ *)
-(* JSON helpers                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* iterate retained events oldest-first *)
 let iter_events f =
   let s = sink in
@@ -349,34 +329,24 @@ let iter_events_from start f =
 (** Trace-event JSON loadable by chrome://tracing / Perfetto: complete
     spans as ph "X" (ts/dur in microseconds), instants as ph "i". *)
 let export_chrome_trace () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
+  let open Json in
+  let us ns = Float (float_of_int ns /. 1e3) in
+  let evs = ref [] in
   iter_events (fun ~name ~kind ~ts ~dur ~args ->
-      if !first then first := false else Buffer.add_char buf ',';
+      let phase =
+        if kind = 0 then [ ("ph", String "X"); ("dur", us dur) ]
+        else [ ("ph", String "i"); ("s", String "g") ]
+      in
+      let detail =
+        if args = "" then [] else [ ("args", Obj [ ("detail", String args) ]) ]
+      in
       let common =
-        Printf.sprintf "\"name\":\"%s\",\"pid\":1,\"tid\":1,\"ts\":%.3f"
-          (json_escape name)
-          (float_of_int ts /. 1e3)
+        [ ("name", String name); ("pid", Int 1); ("tid", Int 1); ("ts", us ts) ]
       in
-      let argfield =
-        if args = "" then ""
-        else Printf.sprintf ",\"args\":{\"detail\":\"%s\"}" (json_escape args)
-      in
-      if kind = 0 then
-        Buffer.add_string buf
-          (Printf.sprintf "{%s,\"ph\":\"X\",\"dur\":%.3f%s}" common
-             (float_of_int dur /. 1e3)
-             argfield)
-      else
-        Buffer.add_string buf
-          (Printf.sprintf "{%s,\"ph\":\"i\",\"s\":\"g\"%s}" common argfield));
-  Buffer.add_string buf "],";
-  Buffer.add_string buf
-    (Printf.sprintf "\"displayTimeUnit\":\"ms\",\"otherData\":{\
-                     \"dropped_events\":%d}}"
-       (dropped ()));
-  Buffer.contents buf
+      evs := Obj (common @ phase @ detail) :: !evs);
+  Obj
+    [ ("traceEvents", List (List.rev !evs)); ("displayTimeUnit", String "ms");
+      ("otherData", Obj [ ("dropped_events", Int (dropped ())) ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Exporter 2: flat metrics JSON                                       *)
@@ -392,51 +362,22 @@ let metrics_schema_version = 2
     percentiles, and per-name span aggregates (count / total / max
     ns) computed over the retained events. *)
 let export_metrics () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"schema_version\": %d,\n" metrics_schema_version);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"events_recorded\": %d,\n" (events_recorded ()));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"events_dropped\": %d,\n" (dropped ()));
-  (* counters *)
-  Buffer.add_string buf "  \"counters\": {";
-  let cs =
-    List.sort compare (List.map (fun c -> (c.cname, c.n)) !counters)
+  let open Json in
+  let by_name name l = List.sort (fun a b -> compare (name a) (name b)) l in
+  let counter c = (c.cname, Int c.n) in
+  let histogram h =
+    let buckets = ref [] in
+    Array.iteri
+      (fun b n ->
+        if n > 0 then buckets := List [ Int (bucket_low b); Int n ] :: !buckets)
+      h.buckets;
+    ( h.hname,
+      Obj
+        [ ("count", Int h.hcount); ("sum", Int h.hsum);
+          ("p50", Int (percentile h 50.)); ("p90", Int (percentile h 90.));
+          ("p99", Int (percentile h 99.)); ("p999", Int (percentile h 99.9));
+          ("buckets", List (List.rev !buckets)) ] )
   in
-  Buffer.add_string buf
-    (String.concat ", "
-       (List.map
-          (fun (k, v) -> Printf.sprintf "\"%s\": %d" (json_escape k) v)
-          cs));
-  Buffer.add_string buf "},\n";
-  (* histograms *)
-  Buffer.add_string buf "  \"histograms\": {";
-  let hs = List.sort (fun a b -> compare a.hname b.hname) !histograms in
-  Buffer.add_string buf
-    (String.concat ", "
-       (List.map
-          (fun h ->
-            let nz = ref [] in
-            Array.iteri
-              (fun b n -> if n > 0 then nz := (b, n) :: !nz)
-              h.buckets;
-            let bks =
-              String.concat ", "
-                (List.map
-                   (fun (b, n) ->
-                     Printf.sprintf "[%d, %d]" (bucket_low b) n)
-                   (List.rev !nz))
-            in
-            Printf.sprintf
-              "\"%s\": {\"count\": %d, \"sum\": %d, \"p50\": %d, \
-               \"p90\": %d, \"p99\": %d, \"p999\": %d, \"buckets\": [%s]}"
-              (json_escape h.hname) h.hcount h.hsum (percentile h 50.)
-              (percentile h 90.) (percentile h 99.) (percentile h 99.9)
-              bks)
-          hs));
-  Buffer.add_string buf "},\n";
   (* span aggregates from the retained ring *)
   let tbl : (string, int * int * int) Hashtbl.t = Hashtbl.create 64 in
   iter_events (fun ~name ~kind ~ts:_ ~dur ~args:_ ->
@@ -445,26 +386,19 @@ let export_metrics () =
           Option.value ~default:(0, 0, 0) (Hashtbl.find_opt tbl name)
         in
         Hashtbl.replace tbl name (c + 1, tot + dur, max mx dur));
-  let spans =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  let span (name, (c, tot, mx)) =
+    (name, Obj [ ("count", Int c); ("total_ns", Int tot); ("max_ns", Int mx) ])
   in
-  Buffer.add_string buf "  \"spans\": {";
-  Buffer.add_string buf
-    (String.concat ", "
-       (List.map
-          (fun (name, (c, tot, mx)) ->
-            Printf.sprintf
-              "\"%s\": {\"count\": %d, \"total_ns\": %d, \"max_ns\": %d}"
-              (json_escape name) c tot mx)
-          spans));
-  Buffer.add_string buf "}\n}\n";
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* File output                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+  Obj
+    [ ("schema_version", Int metrics_schema_version);
+      ("events_recorded", Int (events_recorded ()));
+      ("events_dropped", Int (dropped ()));
+      ("counters",
+       Obj (List.map counter (by_name (fun c -> c.cname) !counters)));
+      ("histograms",
+       Obj (List.map histogram (by_name (fun h -> h.hname) !histograms)));
+      ("spans",
+       Obj
+         (List.map span
+            (List.sort compare
+               (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])))) ]

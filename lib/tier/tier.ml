@@ -34,6 +34,7 @@ module Stencil = Obrew_stencil.Stencil
 module Sen = Obrew_sentinel.Sentinel
 module H = Obrew_sentinel.Health
 module Tel = Obrew_telemetry.Telemetry
+module Json = Obrew_telemetry.Json
 module Flight = Obrew_observe.Flight
 
 let c_tierup = Tel.counter "tier.tierups"
@@ -123,22 +124,17 @@ let note ctl fmt =
 (** Per-site JSON rows (registration order) — the black-box report's
     "tier" section. *)
 let sites_json sites =
-  "["
-  ^ String.concat ", "
-      (List.map
-         (fun s ->
-           Printf.sprintf
-             "{\"site\": \"%s\", \"level\": \"%s\", \"thunk\": %d, \
-              \"target\": %d, \"pinned\": %b, \"queued\": %b, \
-              \"slices\": %d, \"compiles\": %d, \"patches\": %d, \
-              \"attempts\": %d}"
-             (site_key s) (level_name s.s_level) s.s_thunk s.s_target
-             s.s_pinned s.s_queued s.s_slices s.s_compiles s.s_patches
-             s.s_attempts)
-         sites)
-  ^ "]"
-
-let table_json ctl = sites_json ctl.sites
+  let row s =
+    Json.(
+      Obj
+        [ ("site", String (site_key s));
+          ("level", String (level_name s.s_level));
+          ("thunk", Int s.s_thunk); ("target", Int s.s_target);
+          ("pinned", Bool s.s_pinned); ("queued", Bool s.s_queued);
+          ("slices", Int s.s_slices); ("compiles", Int s.s_compiles);
+          ("patches", Int s.s_patches); ("attempts", Int s.s_attempts) ])
+  in
+  Json.List (List.map row sites)
 
 (* ------------------------------------------------------------------ *)
 (* Hotness                                                             *)

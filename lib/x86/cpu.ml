@@ -38,7 +38,6 @@ let c_sb_flush = Tel.counter "sb.flushes"
 let c_sb_trace = Tel.counter "sb.traces_built"
 let c_sb_sidexit = Tel.counter "sb.trace_side_exits"
 let c_fuse_cmpjcc = Tel.counter "sb.fuse.cmp_jcc"
-let c_fl_rec = Tel.counter "sb.flag_records"
 let c_fl_mat = Tel.counter "sb.flag_materializations"
 let c_fl_dead = Tel.counter "sb.flag_dead_writes"
 let h_sb_len = Tel.histogram "sb.block_insns"
@@ -636,6 +635,24 @@ let cache_stats cpu =
     tlb_misses = cpu.mem.Mem.tlb_misses;
     flag_records = cpu.fl_records; flag_materialized = cpu.fl_mats;
     flag_dead_writes = cpu.fl_dead }
+
+(** The engine counters as JSON members, in one schema shared by the
+    BENCH_*.json "superblocks" object, the CLI's [--stats-json] export
+    and the black-box report's "engine" section (the last two prepend a
+    schema_version). *)
+let cache_stats_fields s =
+  Obrew_telemetry.Json.
+    [ ("hits", Int s.block_hits); ("misses", Int s.block_misses);
+      ("chained", Int s.block_chained); ("flushes", Int s.block_flushes);
+      ("live", Int s.blocks_live); ("traces", Int s.traces_built);
+      ("trace_side_exits", Int s.trace_side_exits);
+      ("ic_hits", Int s.ic_hits); ("ic_misses", Int s.ic_misses);
+      ("fused_pairs",
+       Obj (List.map (fun (pat, n) -> (pat, Int n)) s.fused_pairs));
+      ("flag_records", Int s.flag_records);
+      ("flag_materialized", Int s.flag_materialized);
+      ("flag_dead_writes", Int s.flag_dead_writes);
+      ("tlb_misses", Int s.tlb_misses) ]
 
 (* whole-block static cost and instruction count: the last prefix total *)
 let block_cost b = b.sb_cost_to.(Array.length b.sb_slots)

@@ -15,6 +15,7 @@
 open Obrew_core
 open Obrew_fault
 module Tel = Obrew_telemetry.Telemetry
+module Json = Obrew_telemetry.Json
 module Flight = Obrew_observe.Flight
 module Blackbox = Obrew_observe.Blackbox
 module Sen = Obrew_sentinel.Sentinel
@@ -27,6 +28,16 @@ let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
+
+let cjson =
+  Alcotest.testable
+    (fun ppf v -> Format.pp_print_string ppf (Json.to_string v))
+    ( = )
+
+(* a report as written to disk, read back: parsing is the
+   well-formedness check *)
+let reparse v = Json.parse (Json.to_string v)
+let mem = Json.member
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder: ring exactness                                     *)
@@ -81,7 +92,7 @@ let test_ring_json_escapes () =
   Flight.clear ();
   Flight.emit ~subject:"with \"quotes\"" ~detail:"and \\slash"
     Flight.Error;
-  let j = Flight.to_json () in
+  let j = Json.to_string (Flight.to_json ()) in
   Alcotest.(check bool) "escaped quote" true (contains j "\\\"quotes\\\"");
   Alcotest.(check bool) "escaped slash" true (contains j "\\\\slash")
 
@@ -135,45 +146,68 @@ let test_blackbox_causal_chain () =
   Blackbox.register_section "quarantine" (fun () -> Quarantine.to_json ());
   Blackbox.register_section "health" (fun () -> Sen.health_json ());
   let r =
-    Blackbox.report ~reason:Blackbox.Sentinel_divergence
-      ~detail:"test divergence" ()
+    reparse
+      (Blackbox.report ~reason:Blackbox.Sentinel_divergence
+         ~detail:"test divergence" ())
   in
   Blackbox.unregister_section "quarantine";
   Blackbox.unregister_section "health";
+  check cjson "schema_version" (Json.Int 1) (mem "schema_version" r);
+  check cjson "reason" (Json.String "sentinel-divergence") (mem "reason" r);
+  let tail =
+    match mem "events" (mem "flight" r) with
+    | Json.List evs -> List.map (mem "kind") evs
+    | _ -> Alcotest.fail "flight.events is not a list"
+  in
   List.iter
-    (fun sub ->
-      Alcotest.(check bool) (Printf.sprintf "report has %s" sub) true
-        (contains r sub))
-    [ "\"schema_version\": 1"; "\"reason\": \"sentinel-divergence\"";
-      "\"flight\""; "\"sections\""; "fault.sabotaged";
-      "sentinel.quarantine"; "\"quarantine\""; "\"health\"" ]
+    (fun k ->
+      Alcotest.(check bool) ("tail has " ^ k) true
+        (List.mem (Json.String k) tail))
+    [ "fault.sabotaged"; "sentinel.quarantine" ];
+  (* the quarantine and health sections are the registries' own
+     exports, one row per entry *)
+  let sections = mem "sections" r in
+  (match mem "quarantine" sections with
+   | Json.List (q :: _) ->
+     (match mem "digest" q with
+      | Json.String d -> check cint "hex digest" 32 (String.length d)
+      | _ -> Alcotest.fail "quarantine digest is not a string")
+   | _ -> Alcotest.fail "quarantine section is empty");
+  match mem "health" sections with
+  | Json.List (h :: _) ->
+    check cjson "health row mode" (Json.String "DBrew+LLVM") (mem "mode" h)
+  | _ -> Alcotest.fail "health section is empty"
 
 let test_blackbox_section_failure_contained () =
   Flight.clear ();
   Blackbox.register_section "bad" (fun () -> failwith "provider died");
   let r =
-    Blackbox.report ~reason:Blackbox.Manual ~detail:"section crash" ()
+    reparse (Blackbox.report ~reason:Blackbox.Manual ~detail:"section crash" ())
   in
   Blackbox.unregister_section "bad";
-  Alcotest.(check bool) "report still renders" true
-    (contains r "\"schema_version\": 1");
-  Alcotest.(check bool) "provider error is contained" true
-    (contains r "provider died")
+  check cjson "report still renders" (Json.Int 1) (mem "schema_version" r);
+  match mem "error" (mem "bad" (mem "sections" r)) with
+  | Json.String e ->
+    Alcotest.(check bool) "provider error is contained" true
+      (contains e "provider died")
+  | _ -> Alcotest.fail "bad section has no error string"
 
 let test_blackbox_attribution () =
   Flight.clear ();
   let prev = !Blackbox.attribution in
   Blackbox.attribution :=
-    (fun a -> if a = 4096 then Some "{\"guest_addr\": 77}" else None);
+    (fun a ->
+      if a = 4096 then Some (Json.Obj [ ("guest_addr", Json.Int 77) ])
+      else None);
   Fun.protect ~finally:(fun () -> Blackbox.attribution := prev) (fun () ->
       let r =
-        Blackbox.report ~addr:4096 ~reason:Blackbox.Typed_error
-          ~detail:"attributed" ()
+        reparse
+          (Blackbox.report ~addr:4096 ~reason:Blackbox.Typed_error
+             ~detail:"attributed" ())
       in
-      Alcotest.(check bool) "fault_addr present" true
-        (contains r "\"fault_addr\": 4096");
-      Alcotest.(check bool) "origin attributed" true
-        (contains r "\"guest_addr\": 77"))
+      check cjson "fault_addr present" (Json.Int 4096) (mem "fault_addr" r);
+      check cjson "origin attributed" (Json.Int 77)
+        (mem "guest_addr" (mem "fault_origin" r)))
 
 (* ------------------------------------------------------------------ *)
 (* Percentiles: exact-rank vs a naive sorted reference                 *)
@@ -219,7 +253,7 @@ let test_histogram_export_v2 () =
   Fun.protect ~finally:Tel.disable (fun () ->
       let h = Tel.histogram "h.v2" in
       List.iter (Tel.observe h) [ 5; 100; 1000 ];
-      let m = Tel.export_metrics () in
+      let m = Json.to_string (Tel.export_metrics ()) in
       List.iter
         (fun sub ->
           Alcotest.(check bool) (Printf.sprintf "metrics has %s" sub) true

@@ -8,6 +8,7 @@ open Obrew_ir
 open Obrew_opt
 open Ins
 module Prov = Obrew_provenance.Provenance
+module Json = Obrew_telemetry.Json
 
 let check = Alcotest.check
 let cint = Alcotest.int
@@ -115,7 +116,22 @@ let test_dce_remarks () =
         Alcotest.(list int)
         "one Deleted remark per dead instr, with its provenance"
         [ 0x400010; 0x400013 ]
-        (List.sort compare !deleted))
+        (List.sort compare !deleted);
+      (* the --remarks export, read back, lists the same remarks *)
+      match
+        Json.member "remarks"
+          (Json.parse (Json.to_string (Prov.export_remarks ())))
+      with
+      | Json.List rs ->
+        check Alcotest.(list int) "exported dce remarks" [ 0x400010; 0x400013 ]
+          (List.filter_map
+             (fun r ->
+               match (Json.member "pass" r, Json.member "guest_addr" r) with
+               | Json.String "dce", Json.Int a -> Some a
+               | _ -> None)
+             rs
+           |> List.sort compare)
+      | _ -> Alcotest.fail "remarks export is not a list")
 
 (* The lifter's flag cache leaves a remark attributed to the flag
    consumer (the reconstruction happens where the condition is read). *)
@@ -168,6 +184,12 @@ let profiled_run engine =
       check cint "profiler sums to the engine total" engine_cycles
         prof_cycles;
       check Alcotest.bool "execs recorded" true (prof_execs > 0);
+      (* the --profile-out export, read back, carries the same totals *)
+      let j = Json.parse (Json.to_string (Prov.export_profile ())) in
+      check cint "exported total_cycles" prof_cycles
+        (match Json.member "total_cycles" j with
+         | Json.Int n -> n
+         | _ -> Alcotest.fail "total_cycles is not an int");
       (* and every profiled address is inside the installed kernel *)
       Prov.iter_insn_profile (fun ~addr ~cycles:_ ~execs:_ ->
           if addr < fn || addr >= fn + 16 then

@@ -15,6 +15,7 @@ open Obrew_fault
 module Sen = Obrew_sentinel.Sentinel
 module H = Obrew_sentinel.Health
 module Srepro = Obrew_sentinel.Srepro
+module Json = Obrew_telemetry.Json
 
 let sz = 9
 let iters = 2
@@ -247,6 +248,12 @@ let test_saboteur_end_to_end () =
   Alcotest.(check bool) "quarantined" true (s.Sen.st_quarantined >= 1);
   Alcotest.(check bool) "demoted" true (s.Sen.st_demotions >= 1);
   Alcotest.(check bool) "healed" true (s.Sen.st_healed >= 1);
+  (* the --sentinel-json export, read back, carries the same counts *)
+  let j = Json.parse (Json.to_string (Sen.stats_json ())) in
+  Alcotest.(check bool) "stats export" true
+    (Json.member "schema_version" j = Json.Int 1
+     && Json.member "divergences" j = Json.Int s.Sen.st_divergences
+     && Json.member "healed" j = Json.Int s.Sen.st_healed);
   let sv = Option.get !last in
   Alcotest.(check string) "back at requested tier" "DBrew+LLVM"
     (Modes.transform_name sv.Sen.sv_mode);

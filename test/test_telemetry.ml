@@ -1,15 +1,16 @@
 (* Telemetry layer: sink behaviour, the enabled gate, counters,
-   histograms and the two exporters. *)
+   histograms, the two exporters and the shared JSON printer/parser. *)
 
 module Tel = Obrew_telemetry.Telemetry
+module Json = Obrew_telemetry.Json
 
 let check = Alcotest.check
 let cint = Alcotest.int
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
+let cjson =
+  Alcotest.testable
+    (fun ppf v -> Format.pp_print_string ppf (Json.to_string v))
+    ( = )
 
 (* each test starts from a clean, enabled sink *)
 let with_tel ?capacity f =
@@ -67,22 +68,86 @@ let test_histogram_buckets () =
 
 let test_exports_parse () =
   with_tel (fun () ->
-      ignore (Tel.span "a" ~args:"with \"quotes\" and \\slash" (fun () -> ()));
+      let detail = "with \"quotes\" and \\slash" in
+      ignore (Tel.span "a" ~args:detail (fun () -> ()));
       Tel.instant "b";
       Tel.incr_c (Tel.counter "c");
       Tel.observe (Tel.histogram "h") 7;
-      (* both exporters must emit well-formed output even with args
+      (* both exporters must print well-formed JSON even with args
          that need escaping *)
-      let trace = Tel.export_chrome_trace () in
-      let metrics = Tel.export_metrics () in
-      Alcotest.(check bool) "trace mentions span" true
-        (contains trace "\"ph\":\"X\"");
-      Alcotest.(check bool) "trace escapes args" true
-        (contains trace "\\\"quotes\\\"");
-      Alcotest.(check bool) "metrics schema" true
-        (contains metrics "\"schema_version\"");
-      Alcotest.(check bool) "metrics histogram" true
-        (contains metrics "\"h\""))
+      let trace = Json.parse (Json.to_string (Tel.export_chrome_trace ())) in
+      let metrics = Json.parse (Json.to_string (Tel.export_metrics ())) in
+      let span =
+        match Json.member "traceEvents" trace with
+        | Json.List evs ->
+          List.find (fun e -> Json.member "name" e = Json.String "a") evs
+        | _ -> Alcotest.fail "traceEvents is not a list"
+      in
+      check cjson "trace span phase" (Json.String "X") (Json.member "ph" span);
+      check cjson "trace args survive escaping" (Json.String detail)
+        (Json.member "detail" (Json.member "args" span));
+      check cjson "metrics schema" (Json.Int Tel.metrics_schema_version)
+        (Json.member "schema_version" metrics);
+      let h = Json.member "h" (Json.member "histograms" metrics) in
+      check cjson "metrics histogram" (Json.Int 1) (Json.member "count" h))
+
+(* ------------------------------------------------------------------ *)
+(* Json: what the printer writes, the parser reads back                *)
+(* ------------------------------------------------------------------ *)
+
+let gen_json =
+  let open QCheck.Gen in
+  (* every byte value, so quotes, backslashes, control bytes and
+     non-UTF-8 bytes >= 0x80 all occur *)
+  let str =
+    string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 8)
+  in
+  let finite f = if Float.is_finite f then f else 0.5 in
+  let fl =
+    map finite
+      (oneof
+         [ float; map Int64.float_of_bits ui64;
+           oneofl [ 0.0; -0.0; 0.1; 1e15; 1e16; 5e-324; max_float ] ])
+  in
+  let leaf =
+    oneof
+      [ return Json.Null; map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i)
+          (oneof [ int; oneofl [ min_int; max_int; 0 ] ]);
+        map (fun f -> Json.Float f) fl; map (fun s -> Json.String s) str ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               (1,
+                map (fun l -> Json.List l)
+                  (list_size (int_range 0 4) (self (n / 4))));
+               (1,
+                map (fun kvs -> Json.Obj kvs)
+                  (list_size (int_range 0 4) (pair str (self (n / 4))))) ])
+
+let test_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"parse (to_string v) = v"
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v -> Json.parse (Json.to_string v) = v)
+
+let test_json_non_finite () =
+  List.iter
+    (fun f ->
+      match Json.to_string (Json.List [ Json.Float f ]) with
+      | exception Invalid_argument _ -> ()
+      | s -> Alcotest.failf "%h printed as %s" f s)
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let test_json_unicode_escapes () =
+  (* \u escapes decode to UTF-8; a surrogate code unit is no code
+     point and decodes to U+FFFD *)
+  check cjson "decoded"
+    (Json.String "\x01A\xc3\xa9\xe2\x82\xac\xef\xbf\xbd")
+    (Json.parse {|"\u0001\u0041\u00e9\u20ac\ud83d"|})
 
 let () =
   Alcotest.run "telemetry"
@@ -95,5 +160,11 @@ let () =
       ("metrics",
        [ Alcotest.test_case "counters" `Quick test_counters;
          Alcotest.test_case "histograms" `Quick test_histogram_buckets;
-         Alcotest.test_case "exports parse" `Quick test_exports_parse ])
+         Alcotest.test_case "exports parse" `Quick test_exports_parse ]);
+      ("json",
+       [ QCheck_alcotest.to_alcotest test_json_roundtrip;
+         Alcotest.test_case "non-finite floats raise" `Quick
+           test_json_non_finite;
+         Alcotest.test_case "unicode escapes" `Quick
+           test_json_unicode_escapes ])
     ]

@@ -21,6 +21,7 @@ module Tier = Obrew_tier.Tier
 module Sen = Obrew_sentinel.Sentinel
 module H = Obrew_sentinel.Health
 module Stencil = Obrew_stencil.Stencil
+module Json = Obrew_telemetry.Json
 
 let sz = 9
 let slices = 24
@@ -156,6 +157,17 @@ let test_hot_workload_tiers_up () =
   | Some s ->
     Alcotest.(check string) "dominant site ends at the Hot tier" "hot"
       (Tier.level_name s.Tier.s_level);
+    (* the black box's "tier" section, read back, agrees *)
+    (match Json.parse (Json.to_string (Tier.sites_json tiered.Tier.r_sites))
+     with
+     | Json.List rows ->
+       Alcotest.(check bool) "sites export has the hot row" true
+         (List.exists
+            (fun r ->
+              Json.member "site" r = Json.String (Tier.site_key s)
+              && Json.member "level" r = Json.String "hot")
+            rows)
+     | _ -> Alcotest.fail "sites export is not a list");
     Alcotest.(check bool) "dominant site was patched" true
       (s.Tier.s_patches >= 1)
 

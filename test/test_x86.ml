@@ -690,7 +690,16 @@ let test_trace_promotion () =
   check ci64 "sum 100..1" 5050L r;
   let s = Cpu.cache_stats cpu in
   check cbool "loop promoted to a trace" true (s.Cpu.traces_built >= 1);
-  check cbool "loop exit took a side exit" true (s.Cpu.trace_side_exits >= 1)
+  check cbool "loop exit took a side exit" true (s.Cpu.trace_side_exits >= 1);
+  (* the engine-stats object (--stats-json, BENCH "superblocks"), read
+     back, carries the same counters *)
+  let module J = Obrew_telemetry.Json in
+  let j = J.parse (J.to_string (J.Obj (Cpu.cache_stats_fields s))) in
+  check cbool "engine-stats export" true
+    (J.member "traces" j = J.Int s.Cpu.traces_built
+     && J.member "flag_records" j = J.Int s.Cpu.flag_records
+     && J.member "cmp_jcc" (J.member "fused_pairs" j)
+        = J.Int (List.assoc "cmp_jcc" s.Cpu.fused_pairs))
 
 (* ---------- steady-state allocation ---------- *)
 

@@ -1,156 +1,33 @@
-(* Schema validator for the machine-readable benchmark exports.
+(* Schema validator for the machine-readable exports.
 
      validate_bench BENCH_fig9a.json [BENCH_fig9b.json ...]
      validate_bench --trace trace.json
      validate_bench --remarks remarks.json --profile profile.json
+     validate_bench --sentinel sentinel.json --tier BENCH_tier.json
+     validate_bench --engine-stats engine_stats.json --blackbox report.json
      validate_bench compare BASELINE.json CURRENT.json [--tol PCT]
+     validate_bench compare-tier BASELINE.json CURRENT.json [--tol PCT]
 
    Checks BENCH_*.json files (written by `bench --json`),
-   chrome://tracing files (written by `--trace`), optimizer-remark
-   dumps (`--remarks`) and cycle profiles (`--profile`) against the
-   shapes CI depends on, so a schema drift fails the pipeline instead
-   of silently producing unreadable artifacts.  The `compare`
-   subcommand diffs two BENCH files row by row and exits nonzero when
-   any row's wall time regressed by more than the tolerance (default
-   10%) — the first consumer of the cross-PR bench trajectory.  It also
-   prints the aggregate emulated-MIPS delta, and `--tol-mips PCT` makes
-   a throughput drop beyond PCT a hard failure.  Uses a small
-   recursive-descent JSON parser to stay dependency-free. *)
+   chrome://tracing files (`--trace`), optimizer-remark dumps
+   (`--remarks`), cycle profiles (`--profile`), sentinel stats
+   (`--sentinel-json`), engine stats (`--stats-json`) and black-box
+   reports (`--blackbox`) against the shapes CI depends on, so a schema
+   drift fails the pipeline instead of silently producing unreadable
+   artifacts.  The `compare` subcommand diffs two BENCH files row by
+   row and exits nonzero when any row's wall time regressed by more
+   than the tolerance (default 10%) — the first consumer of the
+   cross-PR bench trajectory.  It also prints the aggregate
+   emulated-MIPS delta, and `--tol-mips PCT` makes a throughput drop
+   beyond PCT a hard failure.  Files are read with the parser of
+   [Obrew_telemetry.Json], the module every exporter prints with, so
+   integers are compared exactly. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+module Json = Obrew_telemetry.Json
 
 exception Bad of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
-
-(* ------------------------------------------------------------------ *)
-(* Parser                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail "expected %c at offset %d, found %c" c !pos c'
-    | None -> fail "expected %c at offset %d, found end of input" c !pos
-  in
-  let parse_lit lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
-      pos := !pos + l;
-      v
-    end
-    else fail "bad literal at offset %d" !pos
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string at offset %d" !pos
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        (match peek () with
-         | Some '"' -> Buffer.add_char b '"'
-         | Some '\\' -> Buffer.add_char b '\\'
-         | Some '/' -> Buffer.add_char b '/'
-         | Some 'b' -> Buffer.add_char b '\b'
-         | Some 'f' -> Buffer.add_char b '\012'
-         | Some 'n' -> Buffer.add_char b '\n'
-         | Some 'r' -> Buffer.add_char b '\r'
-         | Some 't' -> Buffer.add_char b '\t'
-         | Some 'u' ->
-           (* validation never inspects non-ASCII content; a
-              placeholder keeps the parser total *)
-           if !pos + 4 >= n then fail "truncated \\u escape";
-           pos := !pos + 4;
-           Buffer.add_char b '?'
-         | _ -> fail "bad escape at offset %d" !pos);
-        advance ();
-        go ())
-      | Some c -> Buffer.add_char b c; advance (); go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    let slice = String.sub s start (!pos - start) in
-    match float_of_string_opt slice with
-    | Some f -> Num f
-    | None -> fail "bad number %S at offset %d" slice start
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin advance (); Obj [] end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); members ((k, v) :: acc)
-          | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or } at offset %d" !pos
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin advance (); Arr [] end
-      else begin
-        let rec elems acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); elems (v :: acc)
-          | Some ']' -> advance (); Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ] at offset %d" !pos
-        in
-        elems []
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> parse_lit "true" (Bool true)
-    | Some 'f' -> parse_lit "false" (Bool false)
-    | Some 'n' -> parse_lit "null" Null
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage at offset %d" !pos;
-  v
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
@@ -158,31 +35,33 @@ let parse (s : string) : json =
 
 let field ctx o k =
   match o with
-  | Obj kvs -> (
+  | Json.Obj kvs -> (
     match List.assoc_opt k kvs with
     | Some v -> v
     | None -> fail "%s: missing field %S" ctx k)
   | _ -> fail "%s: expected an object" ctx
 
 let as_num ctx = function
-  | Num f -> f
+  | Json.Int i -> float_of_int i
+  | Json.Float f -> f
   | _ -> fail "%s: expected a number" ctx
 
-let as_int ctx v =
-  let f = as_num ctx v in
-  if Float.is_integer f then int_of_float f
-  else fail "%s: expected an integer, got %g" ctx f
+let as_int ctx = function
+  | Json.Int i -> i
+  | Json.Float f when Float.is_integer f -> int_of_float f
+  | Json.Float f -> fail "%s: expected an integer, got %g" ctx f
+  | _ -> fail "%s: expected a number" ctx
 
 let as_str ctx = function
-  | Str s -> s
+  | Json.String s -> s
   | _ -> fail "%s: expected a string" ctx
 
 let as_obj ctx = function
-  | Obj kvs -> kvs
+  | Json.Obj kvs -> kvs
   | _ -> fail "%s: expected an object" ctx
 
 let as_arr ctx = function
-  | Arr l -> l
+  | Json.List l -> l
   | _ -> fail "%s: expected an array" ctx
 
 (* ------------------------------------------------------------------ *)
@@ -196,14 +75,47 @@ let rec check_counts ctx v =
     (fun (k, n) ->
       let kctx = ctx ^ "." ^ k in
       match n with
-      | Obj _ -> check_counts kctx n
+      | Json.Obj _ -> check_counts kctx n
       | _ -> if as_int kctx n < 0 then fail "%s: negative" kctx)
     (as_obj ctx v)
+
+(* The engine-counter object, one schema for BENCH files' "superblocks"
+   and the `obrew_cli --stats-json` export.  The indirect-branch
+   inline-cache counters travel as a pair: a file reporting hits without
+   misses (or vice versa) is malformed.  Both absent is fine — baselines
+   predating the counters stay readable.  The engine fuses exactly one
+   shape, cmp/test+jcc; any other fused_pairs name is a stale file from
+   the generic mega-op fusion. *)
+let check_engine_counts ctx v =
+  check_counts ctx v;
+  let sb = as_obj ctx v in
+  (match (List.mem_assoc "ic_hits" sb, List.mem_assoc "ic_misses" sb) with
+   | true, false | false, true ->
+     fail "%s: needs ic_hits and ic_misses together" ctx
+   | _ -> ());
+  match List.assoc_opt "fused_pairs" sb with
+  | Some fp ->
+    List.iter
+      (fun (pat, _) ->
+        if pat <> "cmp_jcc" then
+          fail "%s.fused_pairs: unknown pattern %S" ctx pat)
+      (as_obj (ctx ^ ".fused_pairs") fp)
+  | None -> ()
+
+(* Engine stats (written by `stencil --stats-json`): the counter object
+   above at top level, behind a schema_version. *)
+let check_engine_stats path (j : Json.t) =
+  let ctx = Filename.basename path in
+  let sv = as_int (ctx ^ ".schema_version") (field ctx j "schema_version") in
+  if sv <> 1 then fail "%s: unsupported schema_version %d" ctx sv;
+  check_engine_counts ctx j;
+  Printf.printf "%s: OK (schema v%d, %d counters)\n" ctx sv
+    (List.length (as_obj ctx j) - 1)
 
 (* BENCH files: v1 lacked the tail-latency objects, v2 added
    serve_latency/stage_latency to the fig9 sections; both shapes remain
    readable so old baselines stay comparable. *)
-let check_bench path (j : json) =
+let check_bench path (j : Json.t) =
   let ctx = Filename.basename path in
   let sv = as_int (ctx ^ ".schema_version") (field ctx j "schema_version") in
   if sv <> 1 && sv <> 2 then
@@ -236,25 +148,7 @@ let check_bench path (j : json) =
   in
   if hr < 0.0 || hr > 1.0 then
     fail "%s: superblock_hit_rate %g out of [0,1]" ctx hr;
-  check_counts (ctx ^ ".superblocks") (field ctx j "superblocks");
-  (* the indirect-branch inline-cache counters travel as a pair: a file
-     reporting hits without misses (or vice versa) is malformed.  Both
-     absent is fine — baselines predating the counters stay readable. *)
-  let sb = as_obj (ctx ^ ".superblocks") (field ctx j "superblocks") in
-  (match (List.mem_assoc "ic_hits" sb, List.mem_assoc "ic_misses" sb) with
-   | true, false | false, true ->
-     fail "%s: superblocks needs ic_hits and ic_misses together" ctx
-   | _ -> ());
-  (* the engine fuses exactly one shape, cmp/test+jcc; any other
-     pattern name is a stale file from the generic mega-op fusion *)
-  (match List.assoc_opt "fused_pairs" sb with
-   | Some fp ->
-     List.iter
-       (fun (pat, _) ->
-         if pat <> "cmp_jcc" then
-           fail "%s: superblocks.fused_pairs has unknown pattern %S" ctx pat)
-       (as_obj (ctx ^ ".superblocks.fused_pairs") fp)
-   | None -> ());
+  check_engine_counts (ctx ^ ".superblocks") (field ctx j "superblocks");
   check_counts (ctx ^ ".transform_memo") (field ctx j "transform_memo");
   check_counts (ctx ^ ".dbrew_memo") (field ctx j "dbrew_memo");
   if sv >= 2 then begin
@@ -291,7 +185,7 @@ let check_bench path (j : json) =
 let remark_actions =
   [ "deleted"; "merged"; "hoisted"; "unrolled"; "specialized" ]
 
-let check_remarks path (j : json) =
+let check_remarks path (j : Json.t) =
   let ctx = Filename.basename path in
   let sv = as_int (ctx ^ ".schema_version") (field ctx j "schema_version") in
   if sv <> 1 then fail "%s: unsupported schema_version %d" ctx sv;
@@ -312,7 +206,7 @@ let check_remarks path (j : json) =
     rs;
   Printf.printf "%s: OK (%d remarks)\n" ctx (List.length rs)
 
-let check_profile path (j : json) =
+let check_profile path (j : Json.t) =
   let ctx = Filename.basename path in
   let sv = as_int (ctx ^ ".schema_version") (field ctx j "schema_version") in
   if sv <> 1 then fail "%s: unsupported schema_version %d" ctx sv;
@@ -357,7 +251,7 @@ let sentinel_counters =
   [ "checks"; "divergences"; "quarantined"; "demotions"; "healed";
     "heal_retries"; "blocked_serves" ]
 
-let check_sentinel ~min_divergences ~min_demotions path (j : json) =
+let check_sentinel ~min_divergences ~min_demotions path (j : Json.t) =
   let ctx = Filename.basename path in
   let sv = as_int (ctx ^ ".schema_version") (field ctx j "schema_version") in
   if sv <> 1 then fail "%s: unsupported schema_version %d" ctx sv;
@@ -392,7 +286,7 @@ let check_sentinel ~min_divergences ~min_demotions path (j : json) =
 let tier_strategies = [ "tiered"; "always"; "never" ]
 let tier_levels = [ "cold"; "warm"; "hot" ]
 
-let check_tier path (j : json) =
+let check_tier path (j : Json.t) =
   let ctx = Filename.basename path in
   let sv = as_int (ctx ^ ".schema_version") (field ctx j "schema_version") in
   if sv <> 1 && sv <> 2 then
@@ -473,7 +367,7 @@ let check_tier path (j : json) =
 let blackbox_reasons =
   [ "typed-error"; "sentinel-divergence"; "uncaught-exception"; "manual" ]
 
-let check_blackbox ~require_chain path (j : json) =
+let check_blackbox ~require_chain path (j : Json.t) =
   let ctx = Filename.basename path in
   let sv = as_int (ctx ^ ".schema_version") (field ctx j "schema_version") in
   if sv <> 1 then fail "%s: unsupported schema_version %d" ctx sv;
@@ -525,7 +419,7 @@ let check_blackbox ~require_chain path (j : json) =
     (if require_chain = [] then ""
      else ", causal chain " ^ String.concat " -> " require_chain)
 
-let check_trace path (j : json) =
+let check_trace path (j : Json.t) =
   let ctx = Filename.basename path in
   let evs = as_arr (ctx ^ ".traceEvents") (field ctx j "traceEvents") in
   if evs = [] then fail "%s: traceEvents is empty" ctx;
@@ -560,12 +454,17 @@ let read_file path =
   close_in ic;
   s
 
+(* a malformed file fails with its name and the parser's offset *)
+let load path =
+  try Json.parse (read_file path)
+  with Json.Parse_error m -> fail "%s: %s" (Filename.basename path) m
+
 (* ------------------------------------------------------------------ *)
 (* compare: wall-time regression gate over two BENCH files             *)
 (* ------------------------------------------------------------------ *)
 
 (* Index a BENCH file's rows by their "Kind/Mode" name. *)
-let bench_rows ctx (j : json) : (string * (int * int)) list =
+let bench_rows ctx (j : Json.t) : (string * (int * int)) list =
   List.map
     (fun (name, row) ->
       let rctx = Printf.sprintf "%s.rows[%s]" ctx name in
@@ -576,9 +475,9 @@ let bench_rows ctx (j : json) : (string * (int * int)) list =
 
 (* serve-latency tail: only present in schema-v2 files, so the gate is
    conditional — a v1 baseline compares cleanly against a v2 current *)
-let serve_p99 ctx (j : json) =
+let serve_p99 ctx (j : Json.t) =
   match j with
-  | Obj kvs -> (
+  | Json.Obj kvs -> (
     match List.assoc_opt "serve_latency" kvs with
     | Some sl ->
       Some (as_int (ctx ^ ".serve_latency.p99_us") (field ctx sl "p99_us"))
@@ -586,7 +485,6 @@ let serve_p99 ctx (j : json) =
   | _ -> None
 
 let compare_bench ~tol ~tol_mips ~tol_p99 base_path cur_path =
-  let load p = parse (read_file p) in
   let base = load base_path and cur = load cur_path in
   let bctx = Filename.basename base_path in
   let cctx = Filename.basename cur_path in
@@ -688,7 +586,6 @@ let compare_bench ~tol ~tol_mips ~tol_p99 base_path cur_path =
    total_cycles fails the gate.  Wall-clock fields (compile_s,
    time_to_peak_s) are printed for the record, never gated. *)
 let compare_tier ~tol base_path cur_path =
-  let load p = parse (read_file p) in
   let base = load base_path and cur = load cur_path in
   let bctx = Filename.basename base_path in
   let cctx = Filename.basename cur_path in
@@ -733,8 +630,8 @@ let () =
   if args = [] then begin
     prerr_endline
       "usage: validate_bench [--trace FILE | --remarks FILE | --profile \
-       FILE | --sentinel FILE | --tier FILE | --blackbox FILE | \
-       BENCH_*.json] ...\n\
+       FILE | --sentinel FILE | --tier FILE | --engine-stats FILE | \
+       --blackbox FILE | BENCH_*.json] ...\n\
       \       [--sentinel-min-divergences N] [--sentinel-min-demotions N]\n\
       \       [--blackbox-require-chain k1,k2,...]\n\
       \       validate_bench compare BASELINE.json CURRENT.json [--tol PCT] \
@@ -745,7 +642,7 @@ let () =
   end;
   let failed = ref false in
   let checked kind f check =
-    try check f (parse (read_file f)) with
+    try check f (load f) with
     | Bad m -> Printf.eprintf "FAIL %s\n" m; failed := true
     | Sys_error m -> Printf.eprintf "FAIL %s\n" m; failed := true
     | exception_ ->
@@ -848,11 +745,14 @@ let () =
            (check_sentinel ~min_divergences:!min_div ~min_demotions:!min_dem);
          go tl
        | "--tier" :: f :: tl -> checked "tier" f check_tier; go tl
+       | "--engine-stats" :: f :: tl ->
+         checked "engine-stats" f check_engine_stats;
+         go tl
        | "--blackbox" :: f :: tl ->
          checked "blackbox" f (check_blackbox ~require_chain:!chain);
          go tl
        | ("--trace" | "--remarks" | "--profile" | "--sentinel" | "--tier"
-         | "--blackbox")
+         | "--engine-stats" | "--blackbox")
          :: [] ->
          prerr_endline "flag needs a file argument";
          exit 2
